@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload flows-binary --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload ints-json --seed 1 --seconds 24 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics of an untraced run against a
 ``repro serve`` process; ``--trace 1`` prints the per-layer metrics of a
@@ -55,9 +55,6 @@ def main(argv: list[str] | None = None) -> int:
     split = split_cpus()
     if split is not None:
         os.sched_setaffinity(0, split[0])
-    # The open-loop writer shares the interpreter with the reader thread:
-    # a short switch interval keeps its sends close to their due times.
-    sys.setswitchinterval(0.0005)
     OUTPUT.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="run-", dir=OUTPUT))
     try:

@@ -8,10 +8,11 @@ inherits another's backlog:
 2. the server under test: its launch is the first ``setup_s`` sample;
    it receives the untimed warm-up prefix;
 3. ``Plan.rounds`` rounds, each of: a launch sample on an empty WAL, a
-   restart on a fresh copy of the crash image, a timed ingest round (closed or open loop), ``snapshot`` samples on the
-   quiesced service and, for the closed-loop workloads, point and top-k
-   samples.  Spreading every series over the whole run makes each median
-   cover the same stretch of host time;
+   restart on a fresh copy of the crash image, a timed ingest round
+   (closed or open loop), ``snapshot`` samples on the quiesced service
+   and, for the closed-loop workloads, point and top-k samples.
+   Spreading every series over the whole run makes each median cover
+   the same stretch of host time;
 4. a final drained snapshot and the exact checks behind
    ``max_error_frac``.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import shutil
 import statistics
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,7 +46,7 @@ class Plan:
     rounds of three point queries and one top-k query.
     """
 
-    rounds: int = 6
+    rounds: int = 8
     snapshots_per_round: int = 4
     queries_per_round: int = 40
     #: Tokens before the crash image's checkpoint (its WAL tail is sized
@@ -139,23 +141,33 @@ def dashboard_phase(
     phase: IngestPhase,
     series: QuerySeries,
 ) -> None:
-    """Open-loop producer on ``writer`` beside a reader on its own connection."""
+    """Open-loop producer on ``writer`` beside a reader on its own connection.
+
+    The writer shares the interpreter with the reader thread: a short
+    switch interval, for this phase only, keeps its sends close to their
+    due times.
+    """
     stop = threading.Event()
-    with server.client(inputs.workload.binary) as reader_client:
-        reader = threading.Thread(
-            target=loadgen.run_queries,
-            args=(reader_client, inputs, tally, K, series),
-            kwargs={"stop": stop},
-            name="reader",
-        )
-        reader.start()
-        try:
-            loadgen.open_loop(
-                writer, inputs, oracle, tally, seconds, inputs.workload.open_rate, phase
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.0005)
+    try:
+        with server.client(inputs.workload.binary) as reader_client:
+            reader = threading.Thread(
+                target=loadgen.run_queries,
+                args=(reader_client, inputs, tally, K, series),
+                kwargs={"stop": stop},
+                name="reader",
             )
-        finally:
-            stop.set()
-            reader.join()
+            reader.start()
+            try:
+                loadgen.open_loop(
+                    writer, inputs, oracle, tally, seconds, inputs.workload.open_rate, phase
+                )
+            finally:
+                stop.set()
+                reader.join()
+    finally:
+        sys.setswitchinterval(switch_interval)
 
 
 def final_checks(client, inputs: Inputs, oracle: StreamOracle, tally: Tally) -> Verdict:

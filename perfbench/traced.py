@@ -44,7 +44,7 @@ from repro.service.wire import SOCKET_FRAME_INGEST, encode_socket_frame
 
 from perfbench import loadgen, session
 from perfbench.loadgen import IngestPhase, QuerySeries, Tally
-from perfbench.oracle import StreamOracle
+from perfbench.oracle import StreamOracle, Verdict
 from perfbench.server import HOST_CPUS, ServerProcess
 from perfbench.session import K, PLAN, Metrics, Plan, RunOutcome
 from perfbench.workloads import Inputs, Workload
@@ -266,19 +266,24 @@ def _e2e_phase(src: Path, work: Path, inputs: Inputs, tally: Tally, seconds: flo
             loadgen.warm_up(client, inputs, oracle, tally)
             client.snapshot(drain=True)
             late = closed = IngestPhase()
+            series = QuerySeries()
             if workload.open_rate is not None:
                 late = IngestPhase()
                 session.dashboard_phase(
-                    server, client, inputs, oracle, tally, seconds / 2, late, QuerySeries()
+                    server, client, inputs, oracle, tally, seconds / 2, late, series
                 )
                 client.snapshot(drain=True)
             loadgen.closed_loop(client, inputs, oracle, tally, seconds / 2, closed)
-            verdict = session.final_checks(client, inputs, oracle, tally)
+            final = session.final_checks(client, inputs, oracle, tally)
         shutdown_ms = server.shutdown_ms()
     finally:
         server.kill()
+    queries = Verdict()
+    for response in series.responses:
+        oracle.check(response, queries)
     notes.append(f"untraced closed loop: {closed.tokens} tokens in {closed.seconds:.2f}s")
-    return closed.tokens / closed.seconds, loadgen.percentile(late.late_ms, 90), shutdown_ms, verdict
+    late_p90 = loadgen.percentile(late.late_ms, 90)
+    return closed.tokens / closed.seconds, late_p90, shutdown_ms, [final, queries]
 
 
 def run(
@@ -296,7 +301,7 @@ def run(
     metrics.put("host.calibration_ms", session.calibration_ms(), "ms")
     inputs = Inputs(workload, seed)
     image = session.build_crash_image(src, work, inputs, plan)
-    e2e_tok_s, late_p90, shutdown_ms, verdict = _e2e_phase(
+    e2e_tok_s, late_p90, shutdown_ms, verdicts = _e2e_phase(
         src, work, inputs, tally, seconds / 3, notes
     )
 
@@ -306,11 +311,13 @@ def run(
         for index, ids in enumerate(inputs.warmup):
             pipeline.ingest(inputs.items(ids), -1 - index, SpanRecorder())
         pipeline.tokens = pipeline.frame_bytes = 0
+        vocabulary = len(pipeline.client_codec)
         deadline = time.perf_counter() + seconds / 3
         chunk_id = 0
         while chunk_id < 8 or time.perf_counter() < deadline:
             pipeline.ingest(inputs.pool_items(chunk_id), chunk_id, rec)
             chunk_id += 1
+        new_keys = len(pipeline.client_codec) - vocabulary
         with rec.span("wal_fsync", kind="sync"):
             pipeline.wal.sync()
         snapshot = _traced_snapshots(pipeline.sharded, rec, plan.traced_snapshots)
@@ -361,8 +368,11 @@ def run(
     metrics.put("ladder.e2e_ns_per_tok", e2e, "ns/tok")
     metrics.put("ladder.gap_ns_per_tok", e2e - stage_sum, "ns/tok")
     metrics.put("loadgen.late_p90_ms", late_p90, "ms")
+    # Keys the client codec had to intern while tracing: the warm-up holds
+    # every timed key, so this is 0 unless the codec drops keys it held.
+    notes.append(f"client_encode.new_vocab_frac={new_keys / tokens:.6f}")
     notes.append(f"traced {chunk_id} chunks, {tokens} tokens; spans in {output.name}/")
-    return RunOutcome(metrics, tally, [verdict], notes)
+    return RunOutcome(metrics, tally, verdicts, notes)
 
 
 def _put_stage_metrics(metrics: Metrics, rec: SpanRecorder, tokens: int, frame_bytes: int,
@@ -380,8 +390,6 @@ def _put_stage_metrics(metrics: Metrics, rec: SpanRecorder, tokens: int, frame_b
         float(np.mean([np.unique(ids).size / ids.size for ids in traced])),
         "fraction",
     )
-    pool = np.concatenate(inputs.pool)
-    metrics.put("client_encode.new_vocab_frac", np.unique(pool).size / pool.size, "fraction")
     metrics.put("record_encode.ns_per_tok", ns("record_encode", path="binary"), "ns/tok")
     metrics.put("record_encode.bytes_per_tok", frame_bytes / tokens, "B/tok")
     metrics.put("json_request.ns_per_tok", ns("json_request"), "ns/tok")

@@ -1,4 +1,4 @@
-"""Workload definitions and their seeded token streams.
+"""Workloads, as ``manifest.json`` defines them, and their seeded token streams.
 
 Every input is derived from ``--seed`` alone: the key universe, the
 Zipf ranking (a seeded permutation of the keys), the warm-up prefix, the
@@ -12,7 +12,9 @@ workloads it indexes a table of 5-tuples.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,10 @@ import numpy as np
 POINT_KEYS = 4_096
 #: Zipf chunks appended to the warm-up after the key sweep.
 WARMUP_ZIPF_CHUNKS = 8
+
+
+#: Each workload's reason and input parameters; the only copy of them.
+MANIFEST = Path(__file__).with_name("manifest.json")
 
 
 @dataclass(frozen=True)
@@ -35,67 +41,36 @@ class Workload:
     chunk_tokens: int
     binary: bool
     #: Tokens per second of the open-loop producer; None = closed loop.
-    open_rate: float | None = None
+    open_rate: float | None
     #: ``repro serve --snapshot-interval`` (0 = snapshots on demand only).
-    snapshot_interval: float = 0.0
+    snapshot_interval: float
     #: Distinct Zipf chunks pre-generated for the timed phase (cycled).
-    pool_chunks: int = 64
+    pool_chunks: int
     #: Tokens in the crash image's WAL tail: sized so that a restart's
     #: replay takes about as long as interpreter start (~0.5 s).
-    crash_tail_tokens: int = 131_072
+    crash_tail_tokens: int
 
-    def params(self) -> dict[str, object]:
-        """The input parameters, as recorded in ``manifest.json``."""
-        return {
-            "keys": self.keys,
-            "num_keys": self.num_keys,
-            "zipf_alpha": self.alpha,
-            "chunk_tokens": self.chunk_tokens,
-            "wire": "binary-v3" if self.binary else "ndjson",
-            "loop": "closed" if self.open_rate is None else "open",
-            "open_rate_tok_s": self.open_rate,
-            "snapshot_interval_s": self.snapshot_interval,
-        }
+    @classmethod
+    def from_manifest(cls, name: str, entry: dict) -> Workload:
+        params = entry["params"]
+        return cls(
+            name=name,
+            why=entry["why"],
+            keys=params["keys"],
+            num_keys=params["num_keys"],
+            alpha=params["zipf_alpha"],
+            chunk_tokens=params["chunk_tokens"],
+            binary=params["wire"] == "binary-v3",
+            open_rate=params["open_rate_tok_s"],
+            snapshot_interval=params["snapshot_interval_s"],
+            pool_chunks=params["pool_chunks"],
+            crash_tail_tokens=params["crash_tail_tokens"],
+        )
 
 
 WORKLOADS: dict[str, Workload] = {
-    workload.name: workload
-    for workload in (
-        Workload(
-            name="flows-binary",
-            why="Target token shape: 5-tuple flows as wire-v3 frames, so client "
-            "encode, framing, binary decode, WAL bytes and many-key apply dominate.",
-            keys="flows",
-            num_keys=50_000,
-            alpha=1.1,
-            chunk_tokens=16_384,
-            binary=True,
-        ),
-        Workload(
-            name="ints-json",
-            why="Zipf ints over NDJSON bypass client encode, framing and binary "
-            "decode (a binary-path change reads flat); JSON parse and admission dominate.",
-            keys="ints",
-            num_keys=1_000_000,
-            alpha=1.3,
-            chunk_tokens=8_192,
-            binary=False,
-            pool_chunks=128,
-            crash_tail_tokens=524_288,
-        ),
-        Workload(
-            name="dashboard-mixed",
-            why="Open-loop flow writes at 30k tok/s beside a point/top-k reader: "
-            "ingest that holds the GIL or lock longer shows up as query latency.",
-            keys="flows",
-            num_keys=50_000,
-            alpha=1.1,
-            chunk_tokens=4_096,
-            binary=True,
-            open_rate=30_000.0,
-            snapshot_interval=1.0,
-        ),
-    )
+    name: Workload.from_manifest(name, entry)
+    for name, entry in json.loads(MANIFEST.read_text(encoding="utf-8"))["workloads"].items()
 }
 
 
