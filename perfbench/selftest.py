@@ -13,7 +13,7 @@ Usage, from the root of a checkout::
 4. Each workload runs at a tiny size in both modes; every metric that
    ``BENCHMARK.json`` names for the mode must be emitted, with its unit.
 
-Exits non-zero on the first failed check.  Takes a few minutes.
+Exits non-zero on the first failed check.  Takes about half a minute.
 """
 
 from __future__ import annotations

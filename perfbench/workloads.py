@@ -25,7 +25,7 @@ POINT_KEYS = 4_096
 WARMUP_ZIPF_CHUNKS = 8
 
 
-#: Each workload's reason and input parameters; the only copy of them.
+#: Defines each workload: its reason and its input parameters.
 MANIFEST = Path(__file__).with_name("manifest.json")
 
 
