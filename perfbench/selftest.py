@@ -39,8 +39,10 @@ from perfbench.workloads import WORKLOADS, Inputs, Workload  # noqa: E402
 
 TINY = Plan(
     rounds=1,
-    snapshots_per_round=2,
-    queries_per_round=5,
+    restarts_per_round=1,
+    batches=1,
+    snapshots_per_batch=2,
+    queries_per_batch=5,
     crash_prefix_tokens=2_048,
     traced_snapshots=2,
     recoveries=1,
@@ -88,6 +90,13 @@ def manifest_matches_spec() -> None:
     }
     expect(mapped == {m["name"] for m in spec["per_layer"]},
            "manifest.json maps every per-layer metric to what it should move")
+    targets = {
+        target["metric"]
+        for entry in manifest["per_layer"].values()
+        for target in entry["should_move"]
+    }
+    expect(targets <= set(manifest["end_to_end"]),
+           "every metric a layer should move is a declared end-to-end metric")
 
 
 def smoke(work: Path) -> None:

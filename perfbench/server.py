@@ -16,6 +16,8 @@ from repro.service.client import ServiceClient
 READY_TIMEOUT = 120.0
 #: The CPUs this run may use, read before anything is pinned.
 HOST_CPUS = frozenset(os.sched_getaffinity(0))
+#: Units of the CPU times in ``/proc/<pid>/stat``.
+CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
 
 
 def split_cpus() -> tuple[set[int], set[int]] | None:
@@ -30,6 +32,15 @@ def split_cpus() -> tuple[set[int], set[int]] | None:
         return None
     half = len(cpus) // 2
     return set(cpus[:half]), set(cpus[half:])
+
+
+def _server_cpus() -> set[int]:
+    split = split_cpus()
+    return set(HOST_CPUS) if split is None else split[1]
+
+
+#: The CPUs ``repro serve`` processes run on.
+SERVER_CPUS = _server_cpus()
 
 
 class LaunchError(RuntimeError):
@@ -49,8 +60,10 @@ class ServerProcess:
     run the service.
 
     ``launch`` returns once the first ``ping`` is acked and records the
-    time from spawn to that ack in :attr:`ready_seconds`.  Logs go to a
-    file beside the WAL so a full pipe can never stall the server.
+    time from spawn to that ack in :attr:`ready_seconds`.  ``kill``
+    records the CPU time the process used over its life in
+    :attr:`cpu_total`.  Logs go to a file beside the WAL so a full pipe
+    can never stall the server.
     """
 
     def __init__(
@@ -82,8 +95,7 @@ class ServerProcess:
             self.argv += ["--snapshot-interval", str(snapshot_interval)]
         self.proc: subprocess.Popen | None = None
         self.ready_seconds = float("nan")
-        split = split_cpus()
-        self.cpus = None if split is None else split[1]
+        self.cpu_total = float("nan")
 
     def launch(self) -> ServerProcess:
         env = dict(os.environ)
@@ -98,7 +110,7 @@ class ServerProcess:
                 stdout=log,
                 stderr=log,
                 env=env,
-                preexec_fn=None if self.cpus is None else self._pin,
+                preexec_fn=self._pin,
             )
         finally:
             log.close()
@@ -121,13 +133,21 @@ class ServerProcess:
             self.ready_seconds = time.perf_counter() - started
             return self
 
-    def _pin(self) -> None:
-        os.sched_setaffinity(0, self.cpus)
+    @staticmethod
+    def _pin() -> None:
+        os.sched_setaffinity(0, SERVER_CPUS)
 
     def client(self, binary: bool = True) -> ServiceClient:
         return ServiceClient(
             port=self.port, timeout=READY_TIMEOUT, binary="always" if binary else "never"
         )
+
+    def cpu_seconds(self) -> float:
+        """CPU time (user + system, every thread) the server has used so far."""
+        assert self.proc is not None
+        stat = Path(f"/proc/{self.proc.pid}/stat").read_text()
+        fields = stat.rsplit(")", 1)[1].split()
+        return (int(fields[11]) + int(fields[12])) / CLOCK_TICKS
 
     def peak_rss_mb(self) -> float:
         """Peak resident set (VmHWM) of the server and its child processes."""
@@ -145,11 +165,21 @@ class ServerProcess:
         return (time.perf_counter() - started) * 1000.0
 
     def kill(self) -> None:
-        """SIGKILL (a crash) and reap; idempotent."""
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.send_signal(signal.SIGKILL)
-        if self.proc is not None:
-            self.proc.wait()
+        """SIGKILL (a crash) and reap; idempotent.
+
+        Reaps with ``wait4`` so that :attr:`cpu_total` gets the process's
+        own account of its CPU time, to the microsecond.
+        """
+        if self.proc is None or self.proc.returncode is not None:
+            return
+        try:
+            os.kill(self.proc.pid, signal.SIGKILL)
+            _, status, usage = os.wait4(self.proc.pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            self.proc.wait()  # already reaped elsewhere
+            return
+        self.proc.returncode = os.waitstatus_to_exitcode(status)
+        self.cpu_total = usage.ru_utime + usage.ru_stime
 
 
 def _children(pid: int) -> list[int]:

@@ -298,7 +298,7 @@ def run(
     metrics = Metrics()
     notes: list[str] = []
     tally = Tally()
-    metrics.put("host.calibration_ms", session.calibration_ms(), "ms")
+    metrics.put("host.calibration_ms", session.HostSpeed().median_ms(), "ms")
     inputs = Inputs(workload, seed)
     image = session.build_crash_image(src, work, inputs, plan)
     e2e_tok_s, late_p90, shutdown_ms, verdicts = _e2e_phase(
