@@ -9,7 +9,7 @@ partitioning strategies and both merge modes.  Asserted claims:
   single-summary bound (at most 3 * (m - k) / (m - 2k));
 * the literal top-k merge mode (the paper's written construction) is
   reported alongside -- on mildly skewed data it can exceed the bound for
-  items ranked just outside the top k, which EXPERIMENTS.md discusses.
+  items ranked just outside the top k (see :mod:`repro.core.merging`).
 """
 
 from repro.experiments.merge import format_merge, run_merge
@@ -29,7 +29,7 @@ def test_merge_sweep(once):
         assert ratio <= 3.0 * (row.num_counters - row.k) / (row.num_counters - 2 * row.k) + 1e-9
 
     # The literal top-k merge is also measured; report how often it stays
-    # within the bound without asserting (see EXPERIMENTS.md).
+    # within the bound without asserting (see repro.core.merging).
     top_k_rows = [row for row in rows if row.merge_mode == "top_k"]
     within = sum(row.within_merged_bound for row in top_k_rows)
     print(f"\ntop_k merge mode within bound: {within}/{len(top_k_rows)} configurations")

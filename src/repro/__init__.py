@@ -22,7 +22,7 @@ The package is organised as follows:
   fingerprint / Carter--Wegman hash / shard kernels underneath every
   batched hot path.
 * :mod:`repro.experiments` -- one experiment per table / theorem, used by
-  the benchmarks and EXPERIMENTS.md.
+  the benchmarks.
 
 Quickstart
 ----------

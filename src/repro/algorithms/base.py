@@ -17,6 +17,7 @@ import collections
 import math
 import operator
 from abc import ABC, abstractmethod
+from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -384,6 +385,20 @@ class FrequencyEstimator(ABC):
             self.update(item, weight)
         applied = self._items_processed - before
         self._items_processed += tokens - applied
+
+    def copy(self) -> "FrequencyEstimator":
+        """An independent estimator in the same state.
+
+        The copy answers every query exactly as this one does, serialises
+        to the same payload, and evolves identically under the same further
+        updates; mutating either one leaves the other untouched.  The
+        service takes its consistent per-shard copies (snapshots and
+        checkpoints) this way, without a serialisation round trip.
+
+        The counter summaries the service runs override this with a
+        structural copy of their tables; the default is a deep copy.
+        """
+        return deepcopy(self)
 
     # ------------------------------------------------------------------ #
     # Derived queries

@@ -27,6 +27,7 @@ Two implementations are provided behind the same class:
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from typing import Dict, Optional, Sequence
 
 from repro.algorithms.base import (
@@ -167,6 +168,12 @@ class Frequent(FrequencyEstimator):
         dead = [stored for stored, value in self._counts.items() if value <= offset]
         for stored in dead:
             del self._counts[stored]
+
+    def copy(self) -> "Frequent":
+        """Structural copy: the stored values and the offset carry over as is."""
+        clone = shallow_copy(self)
+        clone._counts = dict(self._counts)
+        return clone
 
     def estimate(self, item: Item) -> float:
         value = self._counts.get(item)

@@ -22,6 +22,7 @@ counter" step is O(#evicted) rather than O(m).
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from typing import Dict, Optional, Sequence
 
 from repro.algorithms.base import FrequencyEstimator, Item
@@ -92,6 +93,12 @@ class FrequentR(FrequencyEstimator):
         dead = [item for item, value in self._counts.items() if value - offset <= 1e-12]
         for item in dead:
             del self._counts[item]
+
+    def copy(self) -> "FrequentR":
+        """Structural copy: the stored values and the offset carry over as is."""
+        clone = shallow_copy(self)
+        clone._counts = dict(self._counts)
+        return clone
 
     def estimate(self, item: Item) -> float:
         value = self._counts.get(item)

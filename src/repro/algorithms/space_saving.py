@@ -32,6 +32,7 @@ Two implementations are provided:
 from __future__ import annotations
 
 import heapq
+from copy import copy as shallow_copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import (
@@ -249,6 +250,33 @@ class SpaceSaving(FrequencyEstimator):
         self._stream_length += total_weight
         self._items_processed += tokens
 
+    def copy(self) -> "SpaceSaving":
+        """Structural copy: the bucket list is rebuilt node by node.
+
+        Walked iteratively: a generic deep copy recurses along the list's
+        links and overflows the stack on a 1,000-bucket list.
+        Bucket item order and ``_bucket_of`` / ``_errors`` insertion order
+        are kept, so the copy evicts the same victims as the original and
+        serialises to the same payload.
+        """
+        clone = shallow_copy(self)
+        twin: Dict[_Bucket, _Bucket] = {}
+        previous: Optional[_Bucket] = None
+        cursor = self._head
+        while cursor is not None:
+            bucket = _Bucket(cursor.count)
+            bucket.items = dict(cursor.items)
+            bucket.prev = previous
+            if previous is not None:
+                previous.next = bucket
+            twin[cursor] = bucket
+            previous = bucket
+            cursor = cursor.next
+        clone._head = None if self._head is None else twin[self._head]
+        clone._bucket_of = {item: twin[bucket] for item, bucket in self._bucket_of.items()}
+        clone._errors = dict(self._errors)
+        return clone
+
     def estimate(self, item: Item) -> float:
         bucket = self._bucket_of.get(item)
         return 0.0 if bucket is None else bucket.count
@@ -382,6 +410,14 @@ class SpaceSavingHeap(FrequencyEstimator):
                 self._evict_min_and_insert(item, weight)
         self._stream_length += total_weight
         self._items_processed += tokens
+
+    def copy(self) -> "SpaceSavingHeap":
+        """Structural copy; the heap's entries are immutable tuples."""
+        clone = shallow_copy(self)
+        clone._counts = dict(self._counts)
+        clone._errors = dict(self._errors)
+        clone._heap = list(self._heap)
+        return clone
 
     def estimate(self, item: Item) -> float:
         return self._counts.get(item, 0.0)

@@ -350,14 +350,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         f"chunks from {scan.segments_scanned} segment(s) on top of checkpoint "
         f"v{result.checkpoint_version} across {result.num_shards} shard(s){torn}"
     )
+    merge = result.merge
     print(
         f"stream weight: {result.stream_length:,.0f}"
-        + (
-            f"  (merged guarantee A={result.merge.merged_constants.a:.0f}, "
-            f"B={result.merge.merged_constants.b:.0f}, k={result.merge.k})"
-            if result.merge is not None
-            else ""
-        )
+        f"  (merged guarantee A={merge.merged_constants.a:.0f}, "
+        f"B={merge.merged_constants.b:.0f}, k={merge.k})"
     )
     print(f"{'rank':>4} {'item':<24} {'estimate':>12}")
     for rank, (item, estimate) in enumerate(

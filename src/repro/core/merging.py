@@ -20,7 +20,7 @@ Two variants of the "extract a sparse approximation" step are provided:
   site).  Items ranked just outside the top ``k`` of every site are dropped
   entirely, so on mildly skewed data the merged error for those items can
   exceed the ``(3A, A+B)`` bound -- the ablation benchmark
-  ``bench_merge.py`` quantifies this, and EXPERIMENTS.md discusses it.
+  ``bench_merge.py`` quantifies this.
 
 :func:`merge_summaries` implements both and returns a :class:`MergeResult`
 that exposes the merged estimator, the merged guarantee constants, and a

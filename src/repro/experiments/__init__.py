@@ -6,7 +6,7 @@ them the way the paper reports its results.  The pytest benchmarks under
 ``benchmarks/`` call these functions, assert the paper's qualitative claims
 (the bound holds, the expected algorithm wins, ...), and time them; the
 ``repro.experiments.runner`` module runs everything and prints a combined
-report (used to fill in EXPERIMENTS.md).
+report.
 """
 
 from repro.experiments.runner import run_all_experiments

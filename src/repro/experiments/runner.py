@@ -2,9 +2,8 @@
 
 ``python -m repro.experiments.runner`` executes the full reproduction suite
 (Table 1 plus every theorem experiment) with the default parameters and
-prints one formatted table per experiment.  EXPERIMENTS.md is written from
-this output.  Pass ``--quick`` for a reduced parameter grid (used in CI-style
-smoke runs).
+prints one formatted table per experiment.  Pass ``--quick`` for a reduced
+parameter grid (used in CI-style smoke runs).
 """
 
 from __future__ import annotations

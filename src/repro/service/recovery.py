@@ -33,7 +33,8 @@ Three entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
@@ -77,13 +78,12 @@ class RecoveryResult:
 
     ``estimators`` are the per-shard summaries (index = shard id), exactly
     as a live :class:`~repro.service.sharding.ShardedSummarizer` would
-    hold them; ``merge`` is their Theorem 11 combination carrying the
-    ``(3A, A+B)`` guarantee (``None`` only when the estimator class has no
-    proved constants, e.g. ``ExactCounter``).
+    hold them; :attr:`merge` is their Theorem 11 combination.
     """
 
     estimators: list[FrequencyEstimator]
-    merge: MergeResult | None
+    make_estimator: EstimatorFactory = field(repr=False)
+    merge_mode: str
     window: WindowedSummarizer | None
     k: int
     checkpoint_version: int
@@ -104,14 +104,32 @@ class RecoveryResult:
         """Total recovered stream weight across all shards."""
         return float(sum(est.stream_length for est in self.estimators))
 
+    @cached_property
+    def merge(self) -> MergeResult:
+        """The Theorem 11 merge of :attr:`estimators`, built on first read.
+
+        It carries the proved ``(3A, A+B)`` constants, or neutral ones
+        when the estimator class has none (e.g. ``ExactCounter``).  A
+        service restart never reads it, so it is not built there.  The
+        merge reads the estimators as they are at that first read: read
+        it before handing them to a service that keeps ingesting.
+        """
+        try:
+            constants = TailGuarantee.for_algorithm(self.estimators[0])
+        except ValueError:
+            constants = TailGuarantee()
+        return merge_summaries(
+            self.estimators,
+            k=self.k,
+            make_estimator=self.make_estimator,
+            source_constants=constants,
+            mode=self.merge_mode,
+        )
+
     @property
     def estimator(self) -> FrequencyEstimator:
-        """The merged queryable summary (single shard: the shard itself)."""
-        if self.merge is not None:
-            return self.merge.estimator
-        if len(self.estimators) == 1:
-            return self.estimators[0]
-        raise RecoveryError("no merged estimator available")
+        """The merged queryable summary."""
+        return self.merge.estimator
 
 
 def _factory_from_manifest(manifest: dict[str, Any]) -> EstimatorFactory:
@@ -244,26 +262,10 @@ def recover(
         # kinds an older reader can safely ignore (CRC already validated).
         replayed_to = record.position
 
-    # 3. The queryable merged summary, carrying the (3A, A+B) guarantee.
-    merge: MergeResult | None = None
-    try:
-        merge = merge_summaries(
-            estimators, k=max(1, k), make_estimator=make_estimator, mode=merge_mode
-        )
-    except ValueError:
-        # No proved constants for this estimator class (e.g. ExactCounter):
-        # merge with neutral constants instead of failing the recovery.
-        merge = merge_summaries(
-            estimators,
-            k=max(1, k),
-            make_estimator=make_estimator,
-            source_constants=TailGuarantee(),
-            mode=merge_mode,
-        )
-
     return RecoveryResult(
         estimators=estimators,
-        merge=merge,
+        make_estimator=make_estimator,
+        merge_mode=merge_mode,
         window=window,
         k=max(1, k),
         checkpoint_version=checkpoint_version,

@@ -43,7 +43,12 @@ Shard summaries are read either live (:meth:`shard_summaries`, after a
 :meth:`flush` barrier) or as consistent copies taken on a batch boundary
 (:meth:`snapshot_summaries`) while ingestion keeps running -- the latter
 is what :class:`repro.service.snapshots.SnapshotManager` builds queryable
-snapshots from.
+snapshots from.  The thread backend takes each copy with the estimator's
+structural :meth:`~repro.algorithms.base.FrequencyEstimator.copy` under
+the shard's lock, so a snapshot stalls a shard only for a table copy; a
+checkpoint serialises those copies after the lock is released.  The
+process backend has no shared memory to copy from: its workers answer
+with :func:`repro.serialization.dump` payloads instead.
 """
 
 from __future__ import annotations
@@ -401,23 +406,18 @@ class _ThreadShardBackend:
     def payloads(self) -> list[dict[str, Any]]:
         from repro import serialization
 
-        payloads = []
-        for worker in self.workers:
-            with worker.lock:
-                payloads.append(serialization.dump(worker.estimator))
-        return payloads
+        # Encoded outside the shard locks: only the structural copy stalls
+        # a shard's ingest.
+        return [serialization.dump(copy) for copy in self.snapshot_copies()]
 
     def summaries_live(self) -> list[FrequencyEstimator]:
         return [worker.estimator for worker in self.workers]
 
     def snapshot_copies(self) -> list[FrequencyEstimator]:
-        from repro import serialization
-
         copies = []
         for worker in self.workers:
             with worker.lock:
-                payload = serialization.dump(worker.estimator)
-            copies.append(serialization.load(payload))
+                copies.append(worker.estimator.copy())
         return copies
 
     def stream_length(self) -> float:
@@ -1468,12 +1468,11 @@ class ShardedSummarizer:
     def shard_payloads(self) -> list[dict[str, Any]]:
         """Consistent serialised per-shard payloads (checkpoint contents).
 
-        Each payload sits on a batch boundary (taken under the shard's
-        lock in the thread backend; answered between batches by the
-        worker process itself in the process backend); unlike
-        :meth:`snapshot_summaries` the payloads are not rebuilt into
-        estimators -- the checkpoint writer persists the dictionaries
-        directly.
+        Each payload sits on a batch boundary (encoded from the copy
+        :meth:`snapshot_summaries` takes in the thread backend, after the
+        shard's lock is released; answered between batches by the worker
+        process itself in the process backend).  The checkpoint writer
+        persists the dictionaries directly.
         """
         return self._backend.payloads()
 
@@ -1496,10 +1495,11 @@ class ShardedSummarizer:
     def snapshot_summaries(self) -> list[FrequencyEstimator]:
         """Consistent, independent copies of every shard summary.
 
-        Each copy sits on a batch boundary (a serialisation round trip
-        under the shard's lock in the thread backend; a snapshot request
-        answered between batches by the worker process in the process
-        backend); ingestion on the other shards continues undisturbed.
+        Each copy sits on a batch boundary (a structural
+        :meth:`~repro.algorithms.base.FrequencyEstimator.copy` under the
+        shard's lock in the thread backend; a snapshot request answered
+        between batches by the worker process in the process backend);
+        ingestion on the other shards continues undisturbed.
         This is the read path the snapshot layer uses while the service
         keeps ingesting.
         """

@@ -24,6 +24,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from collections.abc import Callable, Mapping
 
@@ -84,9 +85,19 @@ class Snapshot:
         """Point query: estimated total frequency of ``item``."""
         return self.merge.estimator.estimate(item)
 
+    @cached_property
+    def _ranking(self) -> list[tuple[Item, float]]:
+        """Every merged counter, ranked as the merged estimator's ``top_k``.
+
+        Sorted on the first ranked query, not at refresh: a snapshot
+        nobody ranks never pays for it, and every later query slices.
+        """
+        estimator = self.merge.estimator
+        return estimator.top_k(len(estimator))
+
     def top_k(self, k: int) -> list[tuple[Item, float]]:
         """The ``k`` largest estimated frequencies."""
-        return self.merge.estimator.top_k(k)
+        return self._ranking[:k]
 
     def heavy_hitters(self, phi: float) -> list[tuple[Item, float]]:
         """Items estimated above ``phi`` of the *true* total stream weight.
@@ -98,8 +109,7 @@ class Snapshot:
         if not 0.0 < phi < 1.0:
             raise ValueError(f"phi must lie in (0, 1), got {phi}")
         threshold = phi * self.stream_length
-        ranked = self.merge.estimator.top_k(len(self.merge.estimator))
-        return [(item, count) for item, count in ranked if count > threshold]
+        return [(item, count) for item, count in self._ranking if count > threshold]
 
     def bound(self, frequencies: Mapping[Item, float]) -> float:
         """The Theorem 11 error bound evaluated on true frequencies."""

@@ -234,15 +234,13 @@ class WindowedSummarizer:
     def bucket_payloads(self) -> list[tuple[int, dict]]:
         """Consistent serialised copies of every live bucket (oldest first).
 
-        Taken under the ingest lock at a batch boundary -- the write-ahead
-        log's checkpoint records these so recovery restores the ring
-        exactly, ids included.
+        Copied under the ingest lock at a batch boundary and serialised
+        after it is released -- the write-ahead log's checkpoint records
+        these so recovery restores the ring exactly, ids included.
         """
         with self._lock:
-            return [
-                (bucket.bucket_id, serialization.dump(bucket.estimator))
-                for bucket in self._buckets
-            ]
+            copies = [(bucket.bucket_id, bucket.estimator.copy()) for bucket in self._buckets]
+        return [(bucket_id, serialization.dump(copy)) for bucket_id, copy in copies]
 
     def restore_buckets(
         self, states: Sequence[tuple[int, FrequencyEstimator]]
@@ -296,21 +294,17 @@ class WindowedSummarizer:
             )
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        # Only the cheap dump happens under the ingest lock; rebuilding the
-        # copies and merging them runs outside it so concurrent ingestion
-        # stalls no longer than one serialisation pass.
+        # Only the structural copies happen under the ingest lock; merging
+        # them runs outside it so concurrent ingestion stalls no longer
+        # than one table copy per bucket.
         with self._lock:
             newest = self._buckets[-1].bucket_id
-            payloads = [
-                (bucket.bucket_id, serialization.dump(bucket.estimator))
+            live = [
+                (bucket.bucket_id, bucket.estimator.copy())
                 for bucket in self._buckets
                 if bucket.bucket_id > newest - window
                 and bucket.estimator.stream_length > 0
             ]
-        live = [
-            (bucket_id, serialization.load(payload))
-            for bucket_id, payload in payloads
-        ]
         if not live:
             return WindowAnswer(
                 estimator=None,

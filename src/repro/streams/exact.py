@@ -11,6 +11,7 @@ one counter per *distinct* item).
 from __future__ import annotations
 
 import collections
+from copy import copy as shallow_copy
 from typing import Dict
 
 from repro.algorithms.base import FrequencyEstimator, Item
@@ -40,6 +41,12 @@ class ExactCounter(FrequencyEstimator):
             raise ValueError(f"negative weights are not supported, got {weight}")
         self._record_update(weight)
         self._counts[item] += weight
+
+    def copy(self) -> "ExactCounter":
+        """Structural copy of the count table."""
+        clone = shallow_copy(self)
+        clone._counts = self._counts.copy()
+        return clone
 
     def estimate(self, item: Item) -> float:
         return self._counts.get(item, 0.0)

@@ -102,6 +102,72 @@ class TestRoundTrip:
         assert merged.check(stream.frequencies()).holds
 
 
+#: One instance of every registered class, so a newly registered summary
+#: cannot skip the copy contract.
+REGISTRY_FACTORIES = {
+    "Frequent": lambda: Frequent(num_counters=32),
+    "FrequentR": lambda: FrequentR(num_counters=32),
+    "LossyCounting": lambda: LossyCounting(epsilon=0.05),
+    "SpaceSaving": lambda: SpaceSaving(num_counters=32),
+    "SpaceSavingHeap": lambda: SpaceSavingHeap(num_counters=32),
+    "SpaceSavingR": lambda: SpaceSavingR(num_counters=32),
+    "ExactCounter": lambda: ExactCounter(),
+}
+
+
+def _flows(seed, total):
+    """Structured flow-tuple tokens with a skewed key distribution."""
+    stream = zipf_stream(num_items=200, alpha=1.1, total=total, seed=seed)
+    return [("10.0.0.1", int(item), "tcp") for item in stream.items]
+
+
+class TestCopy:
+    def test_every_registered_class_is_covered(self):
+        assert set(REGISTRY_FACTORIES) == set(serialization._REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_FACTORIES))
+    def test_copy_serialises_identically(self, name):
+        original = REGISTRY_FACTORIES[name]()
+        original.update_batch(_flows(1, 3_000))
+        clone = original.copy()
+        assert type(clone) is type(original)
+        assert serialization.dumps(clone) == serialization.dumps(original)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_FACTORIES))
+    def test_copy_is_independent(self, name):
+        original = REGISTRY_FACTORIES[name]()
+        original.update_batch(_flows(2, 3_000))
+        before = serialization.dumps(original)
+        clone = original.copy()
+        clone.update_batch(_flows(3, 1_000))
+        assert serialization.dumps(original) == before
+        clone_state = serialization.dumps(clone)
+        original.update_batch(_flows(4, 1_000))
+        assert serialization.dumps(clone) == clone_state
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_FACTORIES))
+    def test_copy_evolves_like_the_original(self, name):
+        original = REGISTRY_FACTORIES[name]()
+        original.update_batch(_flows(5, 3_000))
+        clone = original.copy()
+        for seed in (6, 7):
+            more = _flows(seed, 1_500)
+            original.update_batch(more)
+            clone.update_batch(more)
+        assert serialization.dumps(clone) == serialization.dumps(original)
+
+    def test_space_saving_copy_of_a_long_bucket_list(self):
+        """One bucket per counter: a recursive deep copy overflows here."""
+        original = SpaceSaving(num_counters=1_000)
+        for index in range(1_000):
+            original.update(("flow", index), float(index + 1))
+        clone = original.copy()
+        assert serialization.dumps(clone) == serialization.dumps(original)
+        clone.update(("flow", "new"), 0.5)
+        assert original.estimate(("flow", "new")) == 0.0
+        assert clone.min_count == 1.5
+
+
 class TestValidation:
     def test_unregistered_class_rejected(self):
         sketch = CountMinSketch(width=8, depth=2)

@@ -8,6 +8,7 @@ import pytest
 
 from repro import serialization
 from repro.algorithms.space_saving import SpaceSaving
+from repro.core.merging import merge_summaries
 from repro.metrics.error import residual
 from repro.service import (
     HeavyHittersService,
@@ -250,6 +251,100 @@ class TestSnapshotManager:
     def test_rejects_bad_k(self, sharded_zipf):
         with pytest.raises(ValueError):
             SnapshotManager(sharded_zipf, k=0)
+
+
+@pytest.fixture()
+def thread_flows(zipf_medium):
+    """A 2-shard thread-backend summarizer holding flow 5-tuples."""
+    flows = [("10.0.0.1", "10.0.0.2", int(item), 443, 6) for item in zipf_medium.items]
+    with ShardedSummarizer(
+        lambda: SpaceSaving(num_counters=400), num_shards=2, backend="thread"
+    ) as sharded:
+        for chunk in iter_chunks(flows, 4096):
+            sharded.ingest(chunk)
+        sharded.flush()
+        yield sharded
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("the snapshot path must not serialise")
+
+
+class TestSnapshotCopies:
+    def test_snapshot_path_never_serialises(self, thread_flows, monkeypatch):
+        """Snapshots copy shards structurally; the merged snapshot still
+        serialises byte-identically to one built from dump/load copies."""
+        live = thread_flows.shard_summaries()
+        expected_copies = [serialization.dumps(shard) for shard in live]
+        reference = merge_summaries(
+            [serialization.load(serialization.dump(shard)) for shard in live],
+            k=10,
+            make_estimator=thread_flows.make_estimator,
+        )
+        with monkeypatch.context() as patched:
+            patched.setattr(serialization, "dump", _refuse)
+            patched.setattr(serialization, "load", _refuse)
+            copies = thread_flows.snapshot_summaries()
+            snapshot = SnapshotManager(thread_flows, k=10).refresh()
+        assert [serialization.dumps(copy) for copy in copies] == expected_copies
+        assert all(copy is not shard for copy, shard in zip(copies, live))
+        assert serialization.dumps(snapshot.estimator) == serialization.dumps(
+            reference.estimator
+        )
+        assert snapshot.constants == reference.merged_constants
+
+    def test_checkpoint_payloads_are_encoded_outside_the_shard_locks(
+        self, thread_flows, monkeypatch
+    ):
+        expected = [serialization.dump(shard) for shard in thread_flows.shard_summaries()]
+        workers = thread_flows._backend.workers
+        dump = serialization.dump
+
+        def unlocked_dump(summary):
+            assert not any(worker.lock.locked() for worker in workers)
+            return dump(summary)
+
+        monkeypatch.setattr(serialization, "dump", unlocked_dump)
+        assert thread_flows.shard_payloads() == expected
+
+
+class TestSnapshotRanking:
+    @pytest.fixture()
+    def snapshot(self, thread_flows):
+        return SnapshotManager(thread_flows, k=10).refresh()
+
+    def test_top_k_matches_the_merged_estimator(self, snapshot):
+        estimator = snapshot.estimator
+        size = len(estimator)
+        for k in (0, 1, 10, size, size + 5):
+            assert snapshot.top_k(k) == estimator.top_k(k)
+
+    def test_heavy_hitters_match_the_merged_ranking(self, snapshot):
+        for phi in (0.001, 0.01, 0.1):
+            threshold = phi * snapshot.stream_length
+            expected = [
+                (item, count)
+                for item, count in snapshot.estimator.top_k(len(snapshot.estimator))
+                if count > threshold
+            ]
+            assert snapshot.heavy_hitters(phi) == expected
+
+    def test_ranking_is_sorted_once_per_snapshot(self, snapshot, monkeypatch):
+        estimator = snapshot.estimator
+        calls = []
+        rank = estimator.top_k
+
+        def counting_top_k(k):
+            calls.append(k)
+            return rank(k)
+
+        monkeypatch.setattr(estimator, "top_k", counting_top_k)
+        first = snapshot.top_k(5)
+        snapshot.top_k(50)
+        snapshot.heavy_hitters(0.01)
+        first.clear()  # callers own the lists they receive
+        assert snapshot.top_k(5) == rank(5)
+        assert calls == [len(estimator)]
 
 
 class TestHeavyHittersServiceHandle:

@@ -318,6 +318,32 @@ class TestCheckpointRecovery:
         )
         assert check.holds
 
+    def test_merge_is_built_on_first_read_only(self, tmp_path, monkeypatch):
+        """A restart never reads the merge, so recovery does not build it."""
+        import repro.service.recovery as recovery_module
+
+        config, service = self._service(tmp_path)
+        service.handle({"op": "ingest", "items": ["a"] * 30 + ["b"] * 12})
+        service.wal.sync()
+        built = []
+        merge = recovery_module.merge_summaries
+
+        def counting_merge(*args, **kwargs):
+            built.append(1)
+            return merge(*args, **kwargs)
+
+        monkeypatch.setattr(recovery_module, "merge_summaries", counting_merge)
+        revived, resumed = resume_service(config)
+        assert resumed is not None and built == []
+        result = recover(tmp_path / "wal")
+        assert built == []
+        assert result.merge is result.merge
+        assert built == [1]
+        assert result.estimator.estimate("a") == 30.0
+        assert result.merge.merged_constants.a == 3.0
+        revived.close()
+        service.close()
+
     def test_recovery_without_checkpoint_replays_everything(self, tmp_path):
         config, service = self._service(tmp_path)
         service.handle({"op": "ingest", "items": ["a"] * 30 + ["b"] * 12})

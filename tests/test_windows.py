@@ -124,6 +124,20 @@ class TestGuarantees:
         windowed.update_batch(["a"] * 50)
         assert windowed.query().estimate("a") == before + 50.0
 
+    def test_single_bucket_answer_is_an_independent_copy(self, monkeypatch):
+        windowed = make_summarizer()
+        windowed.update_batch(["a"] * 50 + ["b"] * 5)
+        expected = serialization.dumps(windowed.bucket_states()[-1][1])
+
+        def refuse(_payload):
+            raise AssertionError("window queries must not deserialise")
+
+        monkeypatch.setattr(serialization, "load", refuse)
+        answer = windowed.query(window=1)
+        assert serialization.dumps(answer.estimator) == expected
+        answer.estimator.update("a", 10.0)
+        assert windowed.query(window=1).estimate("a") == 50.0
+
     def test_heavy_hitters_threshold(self):
         windowed = make_summarizer()
         windowed.update_batch(["hot"] * 80 + ["cold"] * 20)
