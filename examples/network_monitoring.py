@@ -8,7 +8,7 @@ popularity and bursty arrivals stands in for a real capture; we find
 * the flows sending the most *bytes* (real-valued weights, Section 6.1),
 * the heaviest *5-tuple flow keys* -- ``(src, dst, sport, dport, proto)`` --
   pushed through the full heavy-hitters service loop over its TCP socket:
-  bulk ingest as wire-protocol-v3 binary frames (negotiated on the first
+  bulk ingest as wire-protocol-v4 binary frames (negotiated on the first
   ping; queries stay NDJSON on the same connection), merged snapshot,
   point / top-k / heavy-hitter queries, gzip persistence, reload from
   disk, and a verified merged ``(3A, A+B)`` k-tail guarantee (Theorem
@@ -142,7 +142,7 @@ def five_tuples_through_the_service(trace) -> None:
                 except SerializationError as error:
                     print(f"rejected at the client boundary: {error}")
 
-                # Bulk ingest rides wire protocol v3: the client negotiated
+                # Bulk ingest rides wire protocol v4: the client negotiated
                 # binary frames on its first ping, so each chunk crosses as
                 # one length-prefixed frame carrying the CRC-framed chunk
                 # record -- each distinct flow tuple encoded once in the

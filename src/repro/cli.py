@@ -585,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-binary",
         action="store_true",
-        help="refuse wire-protocol-v3 binary ingest frames and advertise "
-        "protocol 2 (NDJSON only); v3 clients downgrade automatically",
+        help="refuse binary ingest frames and advertise protocol 2 "
+        "(NDJSON only); frame-capable clients downgrade automatically",
     )
     serve.add_argument(
         "--algorithm", choices=sorted(_UNIT_ALGORITHMS), default="spacesaving"
@@ -771,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--binary",
         action="store_true",
-        help="require wire-protocol-v3 binary ingest frames (error out "
-        "against an NDJSON-only server instead of downgrading)",
+        help="require binary ingest frames, protocol 4 (error out "
+        "against an older or NDJSON-only server instead of downgrading)",
     )
     query.add_argument(
         "--batch-size",

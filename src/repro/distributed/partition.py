@@ -55,7 +55,7 @@ def hash_partition_chunk(chunk: EncodedChunk, num_sites: int) -> List[EncodedChu
     routine the in-process service shards with, so in-process and
     cross-site placement cannot drift apart.  Every site's sub-chunk shares
     the original codec (and therefore its vocabulary -- use
-    :func:`repro.serialization.dump_chunk` to ship a sub-chunk, vocabulary
+    :func:`repro.serialization.dump_chunk_bytes` to ship a sub-chunk, vocabulary
     included, to a remote site).  Sites that receive no tokens get an empty
     chunk so the result always has ``num_sites`` entries, mirroring
     :func:`hash_partition`.

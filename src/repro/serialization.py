@@ -35,6 +35,25 @@ structured stream keys such as network-flow 5-tuples end-to-end.  Anything
 else -- and NaN, which can never be queried back -- is rejected with a
 clear error rather than silently repr'd.  Version 1 payloads (which only
 ever used ``s:``/``i:``/``f:`` keys) still load.
+
+Encoded columnar chunks -- the records of client ingest frames, the
+write-ahead log and the process-backend pipes -- use a packed binary
+layout instead (:func:`dump_chunk_bytes`), all integers little-endian::
+
+    magic     4 bytes  b"\\x89RCK" (starts neither JSON "{" nor gzip 1f 8b)
+    version   u8       PACKED_CHUNK_VERSION
+    flags     u8       bit 0: weights present; other bits must be 0
+    tokens    u32      chunk length
+    entries   u32      distinct tokens in the chunk (its local vocabulary)
+    key_bytes u32      size of the key blob
+    lengths   entries x u32    byte length of each vocabulary key
+    keys      key_bytes        UTF-8 type-tagged keys, back to back
+    ids       tokens x u16|u32 local ids; u16 while entries <= 65536
+    weights   tokens x f64     only when flag bit 0 is set
+
+``compress=True`` gzips the whole record.  :func:`load_chunk_bytes`
+still reads the JSON chunk form (:func:`load_chunk`) that records from
+earlier builds hold.
 """
 
 from __future__ import annotations
@@ -43,10 +62,12 @@ import base64
 import gzip
 import json
 import math
+import struct
 import weakref
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Type, Union
+from itertools import repeat
+from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -279,23 +300,26 @@ def dump_bytes(summary: FrequencyEstimator, compress: bool = False) -> bytes:
     return dump_bytes_with_cost(summary, compress=compress)[0]
 
 
-def _payload_from_bytes(data: Union[bytes, bytearray, memoryview]) -> Dict[str, Any]:
-    """Decode wire bytes (gzip auto-detected) into a payload dictionary.
+def _gunzip_if_compressed(
+    data: Union[bytes, bytearray, memoryview]
+) -> Union[bytes, bytearray, memoryview]:
+    """``data`` itself, or its gzip decompression when it is a gzip member.
 
-    Accepts any bytes-like object -- the wire-protocol-v3 ingest path
-    hands in a :class:`memoryview` aliasing the received socket buffer,
-    so this function must not assume :class:`bytes` methods.
-
-    The single definition of byte-level decoding shared by the summary and
-    chunk read paths, so their corruption handling cannot drift apart.
+    Takes any bytes-like object: the binary ingest path hands in a
+    :class:`memoryview` of the received frame, so only slicing is used.
     """
-    if data[:2] == GZIP_MAGIC:
-        # gzip.decompress raises BadGzipFile (an OSError) for bad headers,
-        # EOFError for truncation and zlib.error for corrupt deflate data.
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError, zlib.error) as error:
-            raise SerializationError(f"invalid gzip payload: {error}") from error
+    if data[:2] != GZIP_MAGIC:
+        return data
+    # gzip.decompress raises BadGzipFile (an OSError) for bad headers,
+    # EOFError for truncation and zlib.error for corrupt deflate data.
+    try:
+        return gzip.decompress(data)
+    except (OSError, EOFError, zlib.error) as error:
+        raise SerializationError(f"invalid gzip payload: {error}") from error
+
+
+def _json_from_bytes(data: Union[bytes, bytearray, memoryview]) -> Dict[str, Any]:
+    """Parse UTF-8 JSON text, as :class:`SerializationError` on failure."""
     try:
         text = str(data, "utf-8")
     except UnicodeDecodeError as error:
@@ -308,7 +332,7 @@ def _payload_from_bytes(data: Union[bytes, bytearray, memoryview]) -> Dict[str, 
 
 def load_bytes(data: bytes) -> FrequencyEstimator:
     """Reconstruct a summary from :func:`dump_bytes` output (gzip or plain)."""
-    return load(_payload_from_bytes(data))
+    return load(_json_from_bytes(_gunzip_if_compressed(data)))
 
 
 @dataclass(frozen=True)
@@ -463,97 +487,122 @@ def loads(text: str) -> FrequencyEstimator:
 # --------------------------------------------------------------------------- #
 
 CHUNK_FORMAT_NAME = "repro-chunk"
-#: Chunk payloads follow the summary format's versioning: v2 adds the
+#: Version of the JSON chunk form (:func:`dump_chunk`): v2 adds the
 #: type-tagged vocabulary entries (bool/None/bytes/tuple); v1 still loads.
 CHUNK_FORMAT_VERSION = 2
 SUPPORTED_CHUNK_VERSIONS = (1, 2)
 
+#: First four bytes of a packed chunk record.  ``0x89`` is a UTF-8
+#: continuation byte, so neither JSON text (``{``) nor a gzip member
+#: (``1f 8b``) can start with it: :func:`load_chunk_bytes` dispatches on it.
+PACKED_CHUNK_MAGIC = b"\x89RCK"
+#: Layout version of the packed record (independent of the JSON versions).
+PACKED_CHUNK_VERSION = 1
+#: Flag bit 0: an ``f64`` weight column follows the ids.
+PACKED_FLAG_WEIGHTS = 0x01
+#: magic, version (u8), flags (u8), then token count, entry count and
+#: key-bytes size (u32 LE each).
+_PACKED_HEADER = struct.Struct("<4sBBIII")
+#: Local ids are ``u16`` when the entry count allows, else ``u32``: the id
+#: column is most of a skewed chunk's bytes.
+_U16_MAX_ENTRIES = 1 << 16
 
-#: Per-codec memo of ``token id -> encoded wire key``, stored as a dense
-#: object column aligned with the codec's id space.  A long-lived codec
-#: (the service ingest codec, a WAL writer) dumps many chunks drawn from
-#: one vocabulary, and an entry's key never changes once interned -- so
-#: the recursive encode/validate cost is paid once per vocabulary entry
-#: instead of once per chunk that references it, and the per-chunk work is
-#: a single vectorised gather.  Weak keys: dropping the codec drops its
-#: memo.
-_WIRE_KEY_MEMO: "weakref.WeakKeyDictionary[TokenCodec, np.ndarray]" = (
+
+def _id_dtype(entries: int) -> str:
+    return "<u2" if entries <= _U16_MAX_ENTRIES else "<u4"
+
+
+#: Per-codec memo of ``token id -> UTF-8 wire key``, stored as two dense
+#: columns aligned with the codec's id space: the key ``bytes`` (object)
+#: and their lengths (``-1`` until encoded).  A long-lived codec (the
+#: service ingest codec, a client) dumps many chunks drawn from one
+#: vocabulary, and an entry's key never changes once interned -- so the
+#: recursive encode/validate cost is paid once per vocabulary entry, and a
+#: chunk's vocabulary is one gather plus one ``b"".join``.  Weak keys:
+#: dropping the codec drops its memo.
+_WIRE_KEY_MEMO: "weakref.WeakKeyDictionary[TokenCodec, Tuple[np.ndarray, np.ndarray]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-#: The load-side mirror of :data:`_WIRE_KEY_MEMO`: per-codec
-#: ``encoded wire key -> token id``.  A long-lived codec (the service
-#: ingest codec decoding v3 binary frames, a WAL recovery replay) loads
-#: many chunks drawn from one vocabulary, and a key's interned id never
-#: changes -- so the recursive decode/intern cost is paid once per
-#: distinct key instead of once per chunk that references it, and a
+#: The load-side mirror of :data:`_WIRE_KEY_MEMO`: per-codec ``UTF-8 wire
+#: key -> token id``.  A long-lived codec (the service ingest codec
+#: decoding binary frames, a WAL recovery replay) loads many chunks drawn
+#: from one vocabulary, and a key's interned id never changes -- so the
+#: recursive decode/intern cost is paid once per distinct key, and a
 #: steady-state chunk vocabulary resolves with one dict hit per entry.
+#: Both record forms resolve through it, so a codec holds one memo.
 #: Bounded by codec rotation (rotating drops the codec, and its memo).
-_WIRE_ID_MEMO: "weakref.WeakKeyDictionary[TokenCodec, Dict[str, int]]" = (
+_WIRE_ID_MEMO: "weakref.WeakKeyDictionary[TokenCodec, Dict[bytes, int]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _ids_for_wire_keys(codec: TokenCodec, vocabulary: List[Any]) -> np.ndarray:
-    """Codec ids for a chunk's wire-key vocabulary, memoised per codec."""
+def _key_bytes(item: Item) -> bytes:
+    """UTF-8 form of an admitted item's wire key.
+
+    ``surrogatepass``: admission takes any ``str``, lone surrogates
+    included (JSON text carried them as ``\\u`` escapes), so the packed
+    form must carry them too.
+    """
+    return encode_item_key(item).encode("utf-8", "surrogatepass")
+
+
+def _ids_for_wire_keys(codec: TokenCodec, keys: List[bytes]) -> np.ndarray:
+    """Codec ids for a chunk's UTF-8 wire-key vocabulary, memoised per codec.
+
+    Raises ``ValueError`` (``UnicodeDecodeError`` or
+    :class:`SerializationError`) for a key that is not UTF-8 or not a
+    valid tagged key; memo hits skip both checks, since only keys that
+    passed them are ever stored.
+    """
     memo = _WIRE_ID_MEMO.get(codec)
     if memo is None:
         memo = {}
         _WIRE_ID_MEMO[codec] = memo
-    lookup = memo.get
-    ids = np.empty(len(vocabulary), dtype=np.int64)
-    for index, key in enumerate(vocabulary):
-        token_id = lookup(key)
-        if token_id is None:
-            token_id = codec.intern(decode_item_key(key))
-            memo[key] = token_id
-        ids[index] = token_id
+    ids = np.fromiter(map(memo.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+    for index in np.flatnonzero(ids < 0).tolist():
+        key = keys[index]
+        ids[index] = memo[key] = codec.intern(
+            decode_item_key(key.decode("utf-8", "surrogatepass"))
+        )
     return ids
 
 
-def _wire_keys_for(codec: TokenCodec, values: np.ndarray) -> "list[str]":
-    """Encoded wire keys for the (distinct, in-range) ids in ``values``."""
-    memo = _WIRE_KEY_MEMO.get(codec)
+def _wire_keys_for(
+    codec: TokenCodec, values: np.ndarray
+) -> Tuple[List[bytes], np.ndarray]:
+    """UTF-8 wire keys and their lengths for the distinct ids in ``values``."""
+    columns = _WIRE_KEY_MEMO.get(codec)
     size = len(codec)
-    if memo is None or memo.size < size:
-        grown = np.empty(max(1024, 2 * size), dtype=object)
-        if memo is not None:
-            grown[: memo.size] = memo
-        memo = grown
-        _WIRE_KEY_MEMO[codec] = memo
-    gathered = memo[values]
-    missing = np.equal(gathered, None)
+    if columns is None or columns[0].size < size:
+        keys = np.empty(max(1024, 2 * size), dtype=object)
+        lengths = np.full(keys.size, -1, dtype=np.int64)
+        if columns is not None:
+            keys[: columns[0].size] = columns[0]
+            lengths[: columns[1].size] = columns[1]
+        columns = (keys, lengths)
+        _WIRE_KEY_MEMO[codec] = columns
+    keys, lengths = columns
+    gathered = lengths[values]
+    missing = gathered < 0
     if missing.any():
         for token_id in values[missing].tolist():
-            memo[token_id] = encode_item_key(codec.item_for(token_id))
-        gathered = memo[values]
-    return gathered.tolist()
+            key = _key_bytes(codec.item_for(token_id))
+            keys[token_id] = key
+            lengths[token_id] = len(key)
+        gathered = lengths[values]
+    return keys[values].tolist(), gathered
 
 
-def dump_chunk(chunk: EncodedChunk) -> Dict[str, Any]:
-    """Serialise an encoded columnar chunk, vocabulary included.
+def _local_vocabulary(chunk: EncodedChunk) -> Tuple[np.ndarray, np.ndarray]:
+    """A chunk's distinct codec ids (sorted) and its ids remapped onto them.
 
-    The chunk's codec ids are remapped to a compact local id space covering
-    only the vocabulary entries this chunk actually references, so shipping
-    one chunk never drags a long-lived codec's whole vocabulary across the
-    wire.  Items are carried with the same type-prefix encoding the summary
-    format uses (memoised per codec vocabulary entry), so any two parties
-    reconstruct identical tokens.
-
-    This sits on the durable ingest hot path (the write-ahead log frames
-    one payload per chunk), so the distinct-id pass mirrors the bincount
-    trick of :meth:`repro.engine.codec.EncodedChunk.aggregate` instead of
-    a sort-based ``np.unique`` whenever the vocabulary is not vastly
-    larger than the chunk.
-
-    Examples
-    --------
-    >>> from repro.engine.codec import TokenCodec
-    >>> codec = TokenCodec()
-    >>> payload = dump_chunk(codec.encode_chunk(["a", "b", "a"]))
-    >>> payload["ids"], payload["vocabulary"]
-    ([0, 1, 0], ['s:a', 's:b'])
+    The compact local id space both chunk encoders write.  This sits on
+    the durable ingest hot path, so it mirrors the bincount trick of
+    :meth:`repro.engine.codec.EncodedChunk.aggregate` instead of a
+    sort-based ``np.unique`` whenever the vocabulary is not vastly larger
+    than the chunk.
     """
     ids = np.asarray(chunk.ids, dtype=np.int64)
     vocabulary_size = len(chunk.codec)
@@ -566,15 +615,38 @@ def dump_chunk(chunk: EncodedChunk) -> Dict[str, Any]:
         inverse = np.searchsorted(values, ids)
     else:
         values, inverse = np.unique(ids, return_inverse=True)
-    vocabulary = _wire_keys_for(chunk.codec, values)
-    payload: Dict[str, Any] = {
+    return values, inverse.reshape(-1)
+
+
+def dump_chunk(chunk: EncodedChunk) -> Dict[str, Any]:
+    """Serialise an encoded columnar chunk to the JSON chunk form.
+
+    The chunk's codec ids are remapped to a compact local id space covering
+    only the vocabulary entries this chunk actually references, so shipping
+    one chunk never drags a long-lived codec's whole vocabulary across the
+    wire.  Items are carried with the same type-prefix encoding the summary
+    format uses (memoised per codec vocabulary entry), so any two parties
+    reconstruct identical tokens.  Chunk records use the packed form of
+    :func:`dump_chunk_bytes`; this dictionary form is what records from
+    earlier builds hold.
+
+    Examples
+    --------
+    >>> from repro.engine.codec import TokenCodec
+    >>> codec = TokenCodec()
+    >>> payload = dump_chunk(codec.encode_chunk(["a", "b", "a"]))
+    >>> payload["ids"], payload["vocabulary"]
+    ([0, 1, 0], ['s:a', 's:b'])
+    """
+    values, local_ids = _local_vocabulary(chunk)
+    keys, _ = _wire_keys_for(chunk.codec, values)
+    return {
         "format": CHUNK_FORMAT_NAME,
         "version": CHUNK_FORMAT_VERSION,
-        "ids": inverse.reshape(-1).tolist(),
-        "vocabulary": vocabulary,
+        "ids": local_ids.tolist(),
+        "vocabulary": [key.decode("utf-8", "surrogatepass") for key in keys],
         "weights": None if chunk.weights is None else chunk.weights.tolist(),
     }
-    return payload
 
 
 def load_chunk(
@@ -602,7 +674,9 @@ def load_chunk(
     # Malformed entries surface as the module's wire-boundary error type, not
     # as raw conversion errors from NumPy or the key decoder.
     try:
-        local_to_codec = _ids_for_wire_keys(codec, vocabulary)
+        local_to_codec = _ids_for_wire_keys(
+            codec, [key.encode("utf-8", "surrogatepass") for key in vocabulary]
+        )
     except (AttributeError, TypeError, ValueError) as error:
         raise SerializationError(f"invalid chunk vocabulary: {error}") from error
     try:
@@ -640,16 +714,90 @@ def load_chunk(
 
 
 def dump_chunk_bytes(chunk: EncodedChunk, compress: bool = False) -> bytes:
-    """Serialise a chunk to bytes (optionally gzip, deterministic mtime).
+    """Serialise a chunk to one packed record (optionally gzip, deterministic mtime).
 
-    Compact separators: chunk payloads sit on the ingest hot path (the
-    write-ahead log frames one per chunk), so the wire form carries no
-    whitespace.
+    The record is the little-endian layout in the module docstring: a
+    header, the local vocabulary as a length column plus the UTF-8 keys
+    back to back, the local ids and, when the chunk is weighted, its
+    ``f64`` weights.  It sits on the ingest hot path (every client
+    frame and WAL record is one), so no part of it is text to escape.
     """
-    raw = json.dumps(
-        dump_chunk(chunk), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    values, local_ids = _local_vocabulary(chunk)
+    keys, lengths = _wire_keys_for(chunk.codec, values)
+    blob = b"".join(keys)
+    weights = chunk.weights
+    raw = b"".join(
+        (
+            _PACKED_HEADER.pack(
+                PACKED_CHUNK_MAGIC,
+                PACKED_CHUNK_VERSION,
+                0 if weights is None else PACKED_FLAG_WEIGHTS,
+                local_ids.size,
+                values.size,
+                len(blob),
+            ),
+            lengths.astype("<u4").tobytes(),
+            blob,
+            local_ids.astype(_id_dtype(values.size)).tobytes(),
+            b"" if weights is None else weights.astype("<f8", copy=False).tobytes(),
+        )
+    )
     return gzip.compress(raw, mtime=0) if compress else raw
+
+
+def _load_packed_chunk(
+    data: Union[bytes, memoryview], codec: Optional[TokenCodec]
+) -> EncodedChunk:
+    """Decode one packed record; every malformed input is a SerializationError."""
+    size = len(data)
+    if size < _PACKED_HEADER.size:
+        raise SerializationError(
+            f"packed chunk of {size} bytes is shorter than its "
+            f"{_PACKED_HEADER.size}-byte header"
+        )
+    _, version, flags, tokens, entries, key_size = _PACKED_HEADER.unpack_from(data)
+    if version != PACKED_CHUNK_VERSION:
+        raise SerializationError(
+            f"unsupported packed chunk version {version} "
+            f"(this library reads version {PACKED_CHUNK_VERSION})"
+        )
+    if flags & ~PACKED_FLAG_WEIGHTS:
+        raise SerializationError(f"unknown packed chunk flags 0x{flags:02X}")
+    weighted = bool(flags & PACKED_FLAG_WEIGHTS)
+    id_dtype = np.dtype(_id_dtype(entries))
+    ids_at = _PACKED_HEADER.size + 4 * entries + key_size
+    weights_at = ids_at + id_dtype.itemsize * tokens
+    expected = weights_at + (8 * tokens if weighted else 0)
+    if size != expected:
+        raise SerializationError(
+            f"packed chunk is {size} bytes but its header declares {expected}"
+        )
+    lengths = np.frombuffer(data, dtype="<u4", count=entries, offset=_PACKED_HEADER.size)
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    if (ends[-1] if ends else 0) != key_size:
+        raise SerializationError(
+            "packed chunk key lengths do not add up to its key-bytes size"
+        )
+    ids = np.frombuffer(data, dtype=id_dtype, count=tokens, offset=ids_at)
+    if tokens and int(ids.max()) >= entries:
+        raise SerializationError("chunk ids reference entries outside the vocabulary")
+    weights = (
+        np.frombuffer(data, dtype="<f8", count=tokens, offset=weights_at)
+        if weighted
+        else None
+    )
+    blob = bytes(data[ids_at - key_size : ids_at])
+    codec = TokenCodec() if codec is None else codec
+    try:
+        local_to_codec = _ids_for_wire_keys(
+            codec, [blob[start:end] for start, end in zip([0, *ends], ends)]
+        )
+    except ValueError as error:  # not UTF-8, or not a valid tagged key
+        raise SerializationError(f"invalid chunk vocabulary: {error}") from error
+    try:
+        return EncodedChunk(ids=local_to_codec[ids], codec=codec, weights=weights)
+    except (TypeError, ValueError) as error:  # e.g. NaN or negative weights
+        raise SerializationError(f"invalid chunk payload: {error}") from error
 
 
 def load_chunk_bytes(
@@ -658,8 +806,13 @@ def load_chunk_bytes(
 ) -> EncodedChunk:
     """Reconstruct a chunk from :func:`dump_chunk_bytes` output (gzip or plain).
 
-    Accepts any bytes-like object; the binary ingest path passes a
-    :class:`memoryview` of the received frame so no intermediate copy of
-    the payload is materialised.
+    A payload that is neither gzip nor packed is read as the JSON chunk
+    form (:func:`load_chunk`), which WAL segments and clients from earlier
+    builds hold.  Accepts any bytes-like object; the binary ingest path
+    passes a :class:`memoryview` of the received frame so no intermediate
+    copy of the payload is materialised.
     """
-    return load_chunk(_payload_from_bytes(data), codec)
+    data = _gunzip_if_compressed(data)
+    if data[:4] == PACKED_CHUNK_MAGIC:
+        return _load_packed_chunk(data, codec)
+    return load_chunk(_json_from_bytes(data), codec)

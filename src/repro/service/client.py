@@ -2,20 +2,22 @@
 
 A thin wrapper used by ``repro query``, the end-to-end tests and the
 throughput benchmark: one TCP connection, one JSON object per line each
-way -- and, against a protocol-3 server, binary length-prefixed ingest
+way -- and, against a protocol-4 server, binary length-prefixed ingest
 frames interleaved with those lines (see :mod:`repro.service.wire`).
 Responses with ``"ok": false`` raise :class:`ServiceError` so callers
 never have to inspect error payloads.
 
-Binary ingest (protocol v3): the client interns each chunk through its
+Binary ingest (protocol v4): the client interns each chunk through its
 own :class:`~repro.engine.codec.TokenCodec` and ships the WAL's exact
-CRC-framed record inside one socket frame, so the server appends the
-received buffer verbatim -- no JSON encode here, no JSON parse there.
-The ``binary`` constructor knob picks the mode: ``"auto"`` (default)
-negotiates via ping and silently downgrades to NDJSON against older
-servers, ``"always"`` raises :class:`ServiceError` when the server
-cannot take frames, ``"never"`` sticks to NDJSON.  Force-traced ingests
-always ride NDJSON (frames carry no trace field).
+CRC-framed record -- a packed binary chunk, see
+:func:`repro.serialization.dump_chunk_bytes` -- inside one socket frame,
+so the server appends the received buffer verbatim: no JSON on either
+side.  The ``binary`` constructor knob picks the mode: ``"auto"``
+(default) negotiates via ping and silently downgrades to NDJSON against
+servers older than protocol 4 (a protocol-3 server would read the packed
+record as JSON), ``"always"`` raises :class:`ServiceError` when the
+server cannot take packed frames, ``"never"`` sticks to NDJSON.
+Force-traced ingests always ride NDJSON (frames carry no trace field).
 
 Structured tokens (protocol v2): tuples, bytes, bools, None and
 non-finite floats are carried as the type-tagged key strings of
@@ -244,8 +246,8 @@ class ServiceClient:
         if self._protocol < BINARY_MIN_PROTOCOL:
             if self._binary == "always":
                 raise ServiceError(
-                    f"server speaks protocol {self._protocol}, which has no "
-                    "binary ingest frames (need protocol "
+                    f"server speaks protocol {self._protocol}, which cannot "
+                    "take packed binary ingest frames (need protocol "
                     f"{BINARY_MIN_PROTOCOL}+); retry without --binary"
                 )
             return False
@@ -351,7 +353,7 @@ class ServiceClient:
         -- or under weaker fsync policies -- an ack only means the tokens
         reached the shard queues.
 
-        Wire encoding: against a protocol-3 server (unless constructed
+        Wire encoding: against a protocol-4 server (unless constructed
         with ``binary="never"``) the chunk ships as one binary frame --
         encoded client-side, appended to the server's WAL verbatim.
         Older servers get the NDJSON request unchanged.
@@ -443,7 +445,7 @@ class ServiceClient:
         :meth:`repro.streams.batched.BatchedIngestor.feed` (and any other
         ``update_batch`` driver): the whole stream then flows over this
         one persistent connection, as binary frames when the ingestor
-        carries a codec and the server speaks protocol 3.
+        carries a codec and the server speaks protocol 4.
         """
         if isinstance(items, EncodedChunk):
             return self.ingest_chunk(items)

@@ -69,7 +69,11 @@ from urllib.parse import parse_qs, urlsplit
 from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.logging import get_logger
 from repro.service.metrics import MetricsRegistry
-from repro.service.server import PROTOCOL_VERSION, HeavyHittersService
+from repro.service.server import (
+    PROTOCOL_VERSION,
+    HeavyHittersService,
+    PromptShutdownMixin,
+)
 from repro.service.tracing import TraceContext, format_server_timing, parse_traceparent
 
 __all__ = ["OperationsHttpServer", "serve_http", "CONTENT_TYPE_EXPOSITION"]
@@ -462,7 +466,7 @@ class _OperationsHandler(BaseHTTPRequestHandler):
         self._dispatch_op(path, request)
 
 
-class OperationsHttpServer(ThreadingHTTPServer):
+class OperationsHttpServer(PromptShutdownMixin, ThreadingHTTPServer):
     """The HTTP plane, attachable to a service before or after recovery.
 
     ``service`` may be ``None`` at construction: the plane then answers

@@ -83,7 +83,6 @@ class RecoveryResult:
 
     estimators: list[FrequencyEstimator]
     make_estimator: EstimatorFactory = field(repr=False)
-    merge_mode: str
     window: WindowedSummarizer | None
     k: int
     checkpoint_version: int
@@ -123,7 +122,6 @@ class RecoveryResult:
             k=self.k,
             make_estimator=self.make_estimator,
             source_constants=constants,
-            mode=self.merge_mode,
         )
 
     @property
@@ -155,7 +153,6 @@ def recover(
     make_estimator: EstimatorFactory | None = None,
     num_shards: int | None = None,
     k: int | None = None,
-    merge_mode: str | None = None,
     window_buckets: int | None = None,
 ) -> RecoveryResult:
     """Rebuild service state from ``wal_dir`` (checkpoint + replay).
@@ -163,7 +160,10 @@ def recover(
     Every parameter defaults to the value recorded in the directory's
     ``wal-config.json`` manifest, so ``recover(path)`` alone reconstructs
     a service exactly as it was configured.  Explicit arguments override
-    the manifest (e.g. to replay into a different counter budget).
+    the manifest (e.g. to replay into a different counter budget).  The
+    merge always uses the ``all_counters`` mode, whose answers meet the
+    constants it advertises; a ``merge_mode`` field in manifests from
+    earlier builds is ignored.
 
     Raises :class:`RecoveryError` when the directory holds no recoverable
     state or the configuration cannot be resolved, and
@@ -189,8 +189,6 @@ def recover(
         raise RecoveryError(f"num_shards must be >= 1, got {num_shards}")
     if k is None:
         k = int(manifest.get("k", 10)) if manifest else 10
-    if merge_mode is None:
-        merge_mode = str(manifest.get("merge_mode", "all_counters")) if manifest else "all_counters"
     if window_buckets is None:
         window_buckets = int(manifest.get("window_buckets", 0)) if manifest else 0
 
@@ -265,7 +263,6 @@ def recover(
     return RecoveryResult(
         estimators=estimators,
         make_estimator=make_estimator,
-        merge_mode=merge_mode,
         window=window,
         k=max(1, k),
         checkpoint_version=checkpoint_version,
@@ -355,7 +352,6 @@ def resume_service(
             make_estimator=config.make_estimator,
             num_shards=config.num_shards,
             k=config.k,
-            merge_mode=config.merge_mode,
             window_buckets=config.window_buckets,
         )
     service = HeavyHittersService(config)

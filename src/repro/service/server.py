@@ -35,6 +35,14 @@ JSON whenever JSON represents the type losslessly and as a tagged key with
 ``"item_tagged": true`` otherwise, so version 1 clients sending plain
 string/number tokens see byte-identical behaviour.
 
+Bulk ingest can instead ride binary frames (protocol 4, see
+:mod:`repro.service.wire`): each carries a client-encoded, CRC-framed
+chunk record in the packed layout of
+:func:`repro.serialization.dump_chunk_bytes`, which the server decodes
+once and appends to its WAL verbatim.  Protocol-3 frames, whose records
+hold JSON text, are still accepted.  The NDJSON path encodes the same
+packed record server-side for the WAL.
+
 Admission control is amortised into the columnar codec: each ingest chunk
 is interned through a :class:`~repro.engine.codec.TokenCodec`, which
 validates every *new* vocabulary entry exactly once (wire format v2)
@@ -53,6 +61,8 @@ from __future__ import annotations
 
 import json
 import math
+import selectors
+import socket
 import socketserver
 import threading
 import time
@@ -112,13 +122,14 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a module cycle
     from repro.service.recovery import RecoveryResult
 
 #: Wire protocol version: 2 added tagged structured-token carriage and the
-#: codec-amortised admission path; 3 adds binary length-prefixed ingest
+#: codec-amortised admission path; 3 added binary length-prefixed ingest
 #: frames interleaved with NDJSON lines on the same socket (see
-#: :mod:`repro.service.wire`).  Exposed by the ping response so clients can
-#: negotiate: a v3-aware client only sends frames after seeing protocol >= 3,
-#: and refuses structured tokens to a v1 server (which would store the
-#: tagged key *strings* verbatim).
-PROTOCOL_VERSION = 3
+#: :mod:`repro.service.wire`); 4 makes the chunk record inside a frame the
+#: packed binary layout instead of JSON text (v3 frames are still taken).
+#: Exposed by the ping response so clients can negotiate: a client only
+#: sends frames after seeing protocol >= 4, and refuses structured tokens
+#: to a v1 server (which would store the tagged key *strings* verbatim).
+PROTOCOL_VERSION = 4
 
 _MISSING = object()
 
@@ -151,7 +162,6 @@ class ServiceConfig:
     snapshot_interval: float = 0.0
     snapshot_dir: str | None = None
     compress: bool = False
-    merge_mode: str = "all_counters"
     #: Bound on the ingest codec's vocabulary: past this many distinct
     #: tokens the server rotates to a fresh codec (re-validating lazily as
     #: tokens reappear) so a long-running service with an unbounded key
@@ -197,7 +207,7 @@ class ServiceConfig:
     audit_max_items: int = DEFAULT_AUDIT_MAX_ITEMS
     #: Minimum seconds between scrape-triggered audit comparisons.
     audit_interval: float = DEFAULT_AUDIT_INTERVAL
-    #: Accept wire-protocol-v3 binary ingest frames on the TCP socket.
+    #: Accept binary ingest frames (protocols 3 and 4) on the TCP socket.
     #: ``False`` runs an NDJSON-only server that advertises protocol 2 and
     #: answers any binary frame with a one-line JSON error -- the explicit
     #: downgrade knob for fleets still draining v2-only clients.
@@ -212,7 +222,6 @@ class ServiceConfig:
             "k": self.k,
             "weighted": self.weighted,
             "window_buckets": self.window_buckets,
-            "merge_mode": self.merge_mode,
             "fsync": self.fsync,
         }
 
@@ -280,7 +289,6 @@ class HeavyHittersService:
             k=config.k,
             directory=config.snapshot_dir,
             compress=config.compress,
-            mode=config.merge_mode,
         )
         self.windowed: WindowedSummarizer | None = None
         if config.window_buckets > 0:
@@ -898,9 +906,9 @@ class HeavyHittersService:
         """The wire protocol version this instance advertises.
 
         This *is* the negotiation: a client pings, reads this field, and
-        only sends binary frames when it is >= 3.  An instance with
-        ``binary=False`` advertises protocol 2 so v3 clients downgrade to
-        NDJSON automatically.
+        only sends binary frames when it is >= 4.  An instance with
+        ``binary=False`` advertises protocol 2 so frame-capable clients
+        downgrade to NDJSON automatically.
         """
         return PROTOCOL_VERSION if self.config.binary else 2
 
@@ -1092,7 +1100,7 @@ class HeavyHittersService:
     def _op_ingest_binary(
         self, request: dict[str, Any], trace: Trace | None = None
     ) -> dict[str, Any]:
-        """One wire-protocol-v3 ingest frame (synthesised by the transport).
+        """One binary ingest frame (synthesised by the transport).
 
         ``request["record"]`` is the raw frame payload: a complete
         CRC-framed WAL chunk record produced client-side.  The hot path
@@ -1397,7 +1405,7 @@ class HeavyHittersService:
 
 
 # --------------------------------------------------------------------------- #
-# TCP transport: NDJSON lines and v3 binary frames on one socket
+# TCP transport: NDJSON lines and binary frames on one socket
 # --------------------------------------------------------------------------- #
 
 
@@ -1405,7 +1413,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
     """Per-connection reader speaking both wire encodings.
 
     Dispatch is on the first byte of each message: ``0xB3`` starts a
-    binary frame (protocol v3), anything else -- in practice ``{`` -- is
+    binary frame (protocol v3/v4), anything else -- in practice ``{`` -- is
     an NDJSON line.  The two interleave freely on one connection, so a
     client can bulk-ingest with frames and query with JSON lines without
     reconnecting.  Responses mirror the request encoding.
@@ -1460,8 +1468,8 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         if not service.config.binary:
             # NDJSON-only server: one JSON error line, then hang up.  The
             # line (not a frame) is deliberate -- a protocol-2 deployment
-            # of this handler only speaks lines, and a v3 client treats a
-            # non-magic response byte as exactly this refusal.
+            # of this handler only speaks lines, and a frame-capable client
+            # treats a non-magic response byte as exactly this refusal.
             self.wfile.write(
                 (
                     json.dumps(
@@ -1496,7 +1504,52 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         self.wfile.flush()
 
 
-class ServiceServer(socketserver.ThreadingTCPServer):
+class PromptShutdownMixin(socketserver.BaseServer):
+    """``serve_forever`` that leaves its loop as soon as ``shutdown`` runs.
+
+    socketserver's own loop only sees a shutdown request at its next
+    0.5 s poll.  Here the loop also watches one end of a socket pair, and
+    ``shutdown`` writes a byte to the other end: the ``select`` wakes at
+    once.  Same contract as the stdlib: ``shutdown``
+    blocks until the loop has exited and must not be called from it.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._stopping = False
+        self._stopped = threading.Event()
+        super().__init__(*args, **kwargs)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until :meth:`shutdown`; ``poll_interval`` is unused."""
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._stopping:
+                    for key, _ in selector.select():
+                        if key.fileobj is self._wake_reader:
+                            self._wake_reader.recv(64)
+                        elif not self._stopping:
+                            self._handle_request_noblock()  # type: ignore[attr-defined]
+                    self.service_actions()
+        finally:
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        self._stopping = True
+        self._wake_writer.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
+
+
+class ServiceServer(PromptShutdownMixin, socketserver.ThreadingTCPServer):
     """A threading TCP server bound to one :class:`HeavyHittersService`."""
 
     allow_reuse_address = True

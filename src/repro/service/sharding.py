@@ -22,7 +22,7 @@ summary, and merge on demand -- without giving up certified answers.
     Each shard is a ``multiprocessing`` worker process fed over a pipe
     carrying the CRC-framed chunk records of
     :func:`repro.service.wal.encode_chunk_record` -- the same bytes the
-    WAL and the wire-v3 binary protocol use, so a client-encoded chunk
+    WAL and the binary wire protocol use, so a client-encoded chunk
     travels client -> WAL -> child process without re-serialisation.
     Every worker receives the full record and applies only its own
     sub-chunk (placement via the same vectorised ``shard_array`` as the

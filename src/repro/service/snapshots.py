@@ -138,9 +138,10 @@ class SnapshotManager:
         ``snapshot-<version>.json`` (``.json.gz`` with ``compress=True``).
     compress:
         Gzip persisted snapshots (and report the compressed wire cost).
-    mode:
-        Merge mode, ``"all_counters"`` or ``"top_k"`` (see
-        :mod:`repro.core.merging`).
+
+    Snapshots always merge with the ``all_counters`` mode of
+    :mod:`repro.core.merging`, the one whose answers meet the ``(3A, A+B)``
+    constants they carry.
     """
 
     sharded: ShardedSummarizer
@@ -148,7 +149,6 @@ class SnapshotManager:
     make_estimator: EstimatorFactory | None = None
     directory: str | Path | None = None
     compress: bool = False
-    mode: str = "all_counters"
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _refresh_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _latest: Snapshot | None = field(default=None, repr=False)
@@ -213,7 +213,6 @@ class SnapshotManager:
                 copies,
                 k=self.k,
                 make_estimator=self.make_estimator,
-                mode=self.mode,
             )
             with self._lock:
                 self._version += 1

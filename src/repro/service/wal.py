@@ -23,16 +23,26 @@ Physical layout (one directory):
 
         +--------+------+----------------+-------+-----------------+
         | marker | type | payload length | crc32 | payload bytes   |
-        |  0xA5  | u8   | u32 LE         | u32LE | (wire-format v2)|
+        |  0xA5  | u8   | u32 LE         | u32LE |                 |
         +--------+------+----------------+-------+-----------------+
 
     Chunk records carry :func:`repro.serialization.dump_chunk_bytes`
-    payloads (the columnar wire format, compacted vocabulary included);
-    window-advance records carry a tiny JSON body.  A crash can tear the
-    final frame of the final segment; recovery *truncates* the torn tail
-    (reporting how many bytes were dropped) instead of failing, while a
-    bad frame anywhere **before** the tail is real corruption and raises
-    :class:`WalError`.
+    payloads: one packed little-endian chunk, compacted vocabulary
+    included, so every record decodes on its own::
+
+        magic "\\x89RCK" | version u8 | flags u8 (bit 0: weights)
+        | tokens u32 | entries u32 | key bytes u32
+        | entries x u32 key length | UTF-8 tagged keys, back to back
+        | tokens x local id (u16 when entries <= 65536, else u32)
+        | tokens x f64 weight (only when flagged)
+
+    (optionally gzipped whole).  Records from earlier builds hold the
+    JSON chunk form instead; replay reads both, dispatching on the first
+    bytes.  Window-advance records carry a tiny JSON body.  A crash can
+    tear the final frame of the final segment; recovery *truncates* the
+    torn tail (reporting how many bytes were dropped) instead of failing,
+    while a bad frame anywhere **before** the tail is real corruption and
+    raises :class:`WalError`.
 
 ``checkpoint-<NNNNNN>.json``
     An atomic (write + rename) snapshot of every shard summary plus the
@@ -203,7 +213,7 @@ def encode_frame(frame_type: int, payload: bytes) -> bytes:
 
 
 def encode_chunk_record(chunk: EncodedChunk, compress: bool = False) -> bytes:
-    """One complete CRC-framed chunk record (header + wire-v2 payload).
+    """One complete CRC-framed chunk record (header + packed chunk payload).
 
     This is the *only* chunk serialisation in the system: the WAL appends
     it, and a wire-protocol-v3 client ships the identical bytes inside a
@@ -414,7 +424,7 @@ class WriteAheadLog:
         return position
 
     def append_chunk(self, chunk: EncodedChunk, trace: Trace | None = None) -> WalPosition:
-        """Log one encoded ingest chunk (wire-format v2 payload)."""
+        """Log one encoded ingest chunk (packed chunk payload)."""
         return self.append_record(
             encode_chunk_record(chunk, compress=self.compress), trace=trace
         )
@@ -731,7 +741,7 @@ def decode_chunk_record(
 
     Wire errors surface as :class:`WalError` carrying the frame position,
     so a corrupt-but-CRC-valid payload (which only hand-editing can
-    produce) is still reported against the log, not as a bare JSON error.
+    produce) is still reported against the log, not as a bare decode error.
     """
     try:
         return serialization.load_chunk_bytes(record.payload, codec)

@@ -1,9 +1,9 @@
-"""Binary socket framing for wire protocol v3.
+"""Binary socket framing for the wire protocol (versions 3 and 4).
 
 Protocol v2 carries every message as one NDJSON line; for bulk ingest
 that means the columnar chunk a producer already holds is serialised to
 JSON text, parsed server-side, and re-encoded a second time for the
-write-ahead log.  Protocol v3 adds a *binary frame* that can interleave
+write-ahead log.  Protocol v3 added a *binary frame* that can interleave
 with NDJSON lines on the same TCP connection::
 
     +-------+------+----------------+-----------------------------+
@@ -17,12 +17,26 @@ byte: ``0xB3`` reads one frame, anything else falls back to the line
 reader.  That keeps protocol-2 clients working unchanged on the same
 port -- negotiation is simply the ``ping`` response's ``protocol`` field.
 
+Protocol v4 keeps the framing and changes what an ingest frame's chunk
+record holds: the packed little-endian chunk of
+:func:`repro.serialization.dump_chunk_bytes` instead of JSON text::
+
+    magic "\\x89RCK" | version u8 | flags u8 (bit 0: weights)
+    | tokens u32 | entries u32 | key bytes u32
+    | entries x u32 key length | UTF-8 tagged keys, back to back
+    | tokens x local id (u16 when entries <= 65536, else u32)
+    | tokens x f64 weight (only when flagged)
+
+A v4 client only sends frames to a server advertising protocol 4 or
+more (older servers would read the record as JSON); a v4 server still
+takes v3 frames, whose records it tells apart by their first bytes.
+
 Frame types:
 
 ``SOCKET_FRAME_INGEST``
     Payload is one complete CRC-framed WAL chunk record
     (:func:`repro.service.wal.encode_chunk_record`): marker + type +
-    length + crc32 + wire-format-v2 chunk bytes.  The server validates
+    length + crc32 + packed chunk bytes.  The server validates
     the embedded CRC, appends the received buffer to the WAL verbatim,
     and decodes the columns from a memoryview -- the payload is
     materialised exactly once end to end.
@@ -46,9 +60,9 @@ from typing import BinaryIO
 #: no NDJSON request line can begin with it.
 SOCKET_MAGIC = 0xB3
 
-#: Protocol version that introduced binary framing; a client only sends
-#: frames after a ping negotiated at least this.
-BINARY_MIN_PROTOCOL = 3
+#: Protocol version whose frames carry packed chunk records; a client only
+#: sends frames after a ping negotiated at least this.
+BINARY_MIN_PROTOCOL = 4
 
 #: Frame types.
 SOCKET_FRAME_INGEST = 1

@@ -360,7 +360,7 @@ class TestHeavyHittersServiceHandle:
         assert service.handle({"op": "ping"}) == {
             "ok": True,
             "pong": True,
-            "protocol": 3,
+            "protocol": 4,
             "binary": True,
             "tracing": True,
             "audit": True,
@@ -609,3 +609,52 @@ class TestServiceEndToEnd:
         with ServiceClient(port=port) as client:
             client.shutdown()
         assert running_server.service.shutdown_requested.is_set()
+
+
+class TestPromptShutdown:
+    """Both front ends leave ``serve_forever`` as soon as they are shut
+    down, instead of waiting out socketserver's 0.5 s poll."""
+
+    BUDGET_SECONDS = 0.1
+
+    def test_tcp_server_teardown_is_prompt(self):
+        server = serve(ServiceConfig(num_shards=2), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        with ServiceClient(port=server.port) as client:
+            assert client.ping()  # the loop is serving
+            started = time.perf_counter()
+            server.shutdown()
+            server.server_close()
+            server.service.close()
+            thread.join(timeout=5)
+            elapsed = time.perf_counter() - started
+        assert not thread.is_alive()
+        assert elapsed < self.BUDGET_SECONDS
+
+    def test_http_server_teardown_is_prompt(self):
+        from urllib.request import urlopen
+
+        from repro.service.http import serve_http
+
+        server = serve_http(port=0)
+        with urlopen(f"http://127.0.0.1:{server.port}/healthz", timeout=5) as reply:
+            assert reply.status == 200
+        started = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - started < self.BUDGET_SECONDS
+
+    def test_shutdown_op_stops_the_loop_promptly(self):
+        server = serve(ServiceConfig(num_shards=2), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ServiceClient(port=server.port) as client:
+                started = time.perf_counter()
+                client.shutdown()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert time.perf_counter() - started < self.BUDGET_SECONDS
+        finally:
+            server.server_close()
+            server.service.close()

@@ -344,6 +344,37 @@ class TestCheckpointRecovery:
         revived.close()
         service.close()
 
+    def test_top_k_merge_mode_in_an_earlier_manifest_is_ignored(self, tmp_path):
+        """Recovery merges with ``all_counters`` whatever the manifest says:
+        the ``top_k`` mode breaks the (3A, A+B) bound its answers carry."""
+        from repro.core.merging import merge_summaries
+
+        config, service = self._service(tmp_path)
+        stream = zipf_stream(num_items=2_000, alpha=0.8, total=20_000, seed=5)
+        for chunk in iter_chunks([int(v) for v in stream.items], 2_048):
+            service.handle({"op": "ingest", "items": chunk})
+        service.wal.sync()
+        service.close()
+        wal_dir = tmp_path / "wal"
+        manifest = read_manifest(wal_dir)
+        assert "merge_mode" not in manifest
+        manifest.pop("format")
+        write_manifest(wal_dir, {**manifest, "merge_mode": "top_k"})
+        result = recover(wal_dir)
+        merge_args = dict(k=result.k, make_estimator=result.make_estimator)
+        expected = merge_summaries(result.estimators, **merge_args)
+        top_k = merge_summaries(result.estimators, mode="top_k", **merge_args)
+        assert serialization.dumps(result.estimator) == serialization.dumps(
+            expected.estimator
+        )
+        assert serialization.dumps(top_k.estimator) != serialization.dumps(
+            expected.estimator
+        )
+        revived, resumed = resume_service(config)
+        assert resumed is not None
+        assert resumed.tokens_replayed == len(stream.items)
+        revived.close()
+
     def test_recovery_without_checkpoint_replays_everything(self, tmp_path):
         config, service = self._service(tmp_path)
         service.handle({"op": "ingest", "items": ["a"] * 30 + ["b"] * 12})
@@ -358,7 +389,7 @@ class TestCheckpointRecovery:
         service.close()
 
     def test_checkpoint_prunes_covered_segments(self, tmp_path):
-        config, service = self._service(tmp_path, wal_segment_bytes=512)
+        config, service = self._service(tmp_path, wal_segment_bytes=256)
         for index in range(12):
             service.handle({"op": "ingest", "items": [f"item-{index}"] * 20})
         before = len(list_segments(service.wal.directory))

@@ -15,8 +15,9 @@ The contract under test (ISSUE 8):
   connection survives to carry the retry;
 * WAL files written via the binary path hold the client's exact chunk
   bytes and recover bit-identically to the same stream pushed as NDJSON;
-* a committed golden frame (``tests/data/ingest-frame-v3.bin``) pins the
-  on-wire byte layout across builds.
+* committed golden frames pin the on-wire byte layouts across builds:
+  ``tests/data/ingest-frame-v4.bin`` is what today's encoder writes,
+  ``tests/data/ingest-frame-v3.bin`` (JSON record) must still be read.
 """
 
 import collections
@@ -34,10 +35,12 @@ from repro.cli import main
 from repro.engine.codec import EncodedChunk, TokenCodec
 from repro.service import ServiceConfig, iter_wal, recover, serve
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.server import HeavyHittersService
 from repro.service.wal import (
     FRAME_ADVANCE,
     FRAME_CHUNK,
     WalError,
+    WriteAheadLog,
     encode_chunk_record,
     encode_frame,
     parse_chunk_record,
@@ -59,7 +62,7 @@ from repro.streams.generators import zipf_stream
 
 DATA_DIR = Path(__file__).parent / "data"
 
-#: The chunk baked into the committed golden frame.
+#: The chunk baked into the committed golden frames.
 GOLDEN_ITEMS = ["alpha", "beta", "alpha", ("10.0.0.1", 443), 7]
 GOLDEN_WEIGHTS = [1.0, 2.0, 1.0, 0.5, 3.0]
 
@@ -68,9 +71,9 @@ def _chunk(items, weights=None) -> EncodedChunk:
     return TokenCodec().encode_chunk(items, weights)
 
 
-def _serve_in_thread(config):
+def _serve_in_thread(config, service=None):
     """Start a server on an OS-picked port; returns (server, teardown)."""
-    server = serve(config, port=0)
+    server = serve(config, port=0, service=service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
 
@@ -101,6 +104,23 @@ def ndjson_server():
     server, teardown = _serve_in_thread(
         ServiceConfig(num_counters=600, num_shards=3, k=10, binary=False)
     )
+    try:
+        yield server
+    finally:
+        teardown()
+
+
+class _Protocol3Service(HeavyHittersService):
+    """A service advertising protocol 3: frames whose records are JSON."""
+
+    protocol = 3
+
+
+@pytest.fixture()
+def protocol_3_server():
+    """A live server that advertises protocol 3 on ping, torn down after."""
+    config = ServiceConfig(num_counters=600, num_shards=3, k=10)
+    server, teardown = _serve_in_thread(config, _Protocol3Service(config))
     try:
         yield server
     finally:
@@ -284,11 +304,11 @@ class TestChunkRecord:
 
 
 class TestBinaryIngestEndToEnd:
-    def test_ping_negotiates_protocol_3(self, v3_server):
+    def test_ping_negotiates_protocol_4(self, v3_server):
         with ServiceClient(port=v3_server.port) as client:
             assert client.protocol is None  # not negotiated yet
             assert client.ping()
-            assert client.protocol >= BINARY_MIN_PROTOCOL
+            assert client.protocol == BINARY_MIN_PROTOCOL == 4
 
     def test_binary_ingest_answers_queries_correctly(self, v3_server):
         stream = zipf_stream(num_items=400, alpha=1.2, total=20_000, seed=8)
@@ -399,6 +419,26 @@ class TestNegotiation:
         assert 'repro_ingest_requests_total{protocol="json"}' in exposition
         assert 'repro_ingest_requests_total{protocol="binary"}' not in exposition
 
+    def test_auto_client_falls_back_to_ndjson_against_protocol_3(
+        self, protocol_3_server
+    ):
+        """A protocol-3 server would read a packed record as JSON text."""
+        with ServiceClient(port=protocol_3_server.port, binary="auto") as client:
+            assert client.ingest([("flow", 1)] * 4 + ["plain"]) == 5
+            assert client.ingest_chunk(TokenCodec().encode_chunk(["plain"] * 3)) == 3
+            assert client.protocol == 3
+            client.snapshot(drain=True)
+            assert client.estimate(("flow", 1)) == 4.0
+            assert client.estimate("plain") == 4.0
+        exposition = protocol_3_server.service.metrics.render()
+        assert 'repro_ingest_requests_total{protocol="json"}' in exposition
+        assert 'repro_ingest_requests_total{protocol="binary"}' not in exposition
+
+    def test_always_client_refuses_protocol_3_server(self, protocol_3_server):
+        with ServiceClient(port=protocol_3_server.port, binary="always") as client:
+            with pytest.raises(ServiceError, match="protocol 3"):
+                client.ingest(["nope"])
+
     def test_always_client_refuses_protocol_2_server(self, ndjson_server):
         with ServiceClient(port=ndjson_server.port, binary="always") as client:
             with pytest.raises(ServiceError, match="protocol 2"):
@@ -473,6 +513,31 @@ class TestCorruptFrames:
             assert response["ok"] is True and response["ingested"] == 5
             assert wal_server.service.wal.frames_appended == 1
 
+    def test_crc_valid_bad_payload_rejected_and_wal_unchanged(self, wal_server):
+        """A CRC only proves the bytes arrived intact, not that they decode."""
+        packed = serialization.dump_chunk_bytes(_chunk(["bad"] * 5))
+        wal_dir = Path(wal_server.service.wal.directory)
+
+        def wal_bytes():
+            return sum(path.stat().st_size for path in wal_dir.glob("wal-*.log"))
+
+        before = wal_bytes()
+        with _raw_connection(wal_server) as sock:
+            for payload in (packed + b"\x00", packed[:-1], b"\x89RCK\x09"):
+                frame = encode_socket_frame(
+                    SOCKET_FRAME_INGEST, encode_frame(FRAME_CHUNK, payload)
+                )
+                response = _frame_roundtrip(sock, frame)
+                assert response["ok"] is False
+                assert wal_server.service.wal.frames_appended == 0
+                assert wal_bytes() == before
+            good = encode_socket_frame(
+                SOCKET_FRAME_INGEST, encode_chunk_record(_chunk(["clean"] * 5))
+            )
+            response = _frame_roundtrip(sock, good)
+            assert response["ok"] is True and response["ingested"] == 5
+        assert wal_bytes() > before
+
     def test_garbage_after_magic_byte_closes_with_frame_error(self, v3_server):
         with _raw_connection(v3_server) as sock:
             sock.sendall(bytes([SOCKET_MAGIC, 0xEE]) + b"\xff" * 4)
@@ -538,13 +603,52 @@ class TestWalByteIdentity:
         # Same stream, either wire: recovery rebuilds identical shards.
         assert dumps["always"] == dumps["never"]
 
+    def test_wal_mixing_json_and_packed_records_recovers_identically(
+        self, tmp_path
+    ):
+        """Segments from earlier builds hold JSON records; a log that
+        switches format mid-stream replays as if it had been packed
+        throughout."""
+        stream = zipf_stream(num_items=300, alpha=1.1, total=12_000, seed=31)
+        items = [("host", int(v) % 64, f"svc-{int(v)}") for v in stream.items]
+        chunks = list(iter_chunks(items, 1_500))
+        dumps = {}
+        for layout in ("packed", "mixed"):
+            codec = TokenCodec()
+            log = WriteAheadLog(tmp_path / layout, fsync="off")
+            try:
+                for index, items_chunk in enumerate(chunks):
+                    chunk = codec.encode_chunk(items_chunk, [1.0] * len(items_chunk))
+                    if layout == "mixed" and index % 2 == 0:
+                        legacy = json.dumps(
+                            serialization.dump_chunk(chunk),
+                            sort_keys=True,
+                            separators=(",", ":"),
+                        ).encode("utf-8")
+                        log.append_record(encode_frame(FRAME_CHUNK, legacy))
+                    else:
+                        log.append_record(encode_chunk_record(chunk))
+            finally:
+                log.close()
+            result = recover(
+                tmp_path / layout,
+                make_estimator=ServiceConfig(num_counters=300, weighted=True).make_estimator,
+                num_shards=3,
+            )
+            assert result.tokens_replayed == len(items)
+            dumps[layout] = [serialization.dumps(e) for e in result.estimators]
+        assert dumps["mixed"] == dumps["packed"]
+
 
 # --------------------------------------------------------------------------- #
-# Golden frame: the committed byte layout must stay ingestible
+# Golden frames: the committed byte layouts must stay ingestible
 # --------------------------------------------------------------------------- #
 
 
 class TestGoldenV3Frame:
+    """A protocol-3 frame, whose record holds JSON text: the older format
+    that a current server must still read."""
+
     FIXTURE = DATA_DIR / "ingest-frame-v3.bin"
 
     def test_fixture_parses_layer_by_layer(self):
@@ -558,12 +662,6 @@ class TestGoldenV3Frame:
         assert chunk.items() == GOLDEN_ITEMS
         assert [float(w) for w in chunk.weights] == GOLDEN_WEIGHTS
 
-    def test_fixture_matches_current_encoder(self):
-        """Today's encoder still produces the committed bytes."""
-        chunk = _chunk(GOLDEN_ITEMS, GOLDEN_WEIGHTS)
-        frame = encode_socket_frame(SOCKET_FRAME_INGEST, encode_chunk_record(chunk))
-        assert frame == self.FIXTURE.read_bytes()
-
     def test_fixture_replays_against_a_live_server(self, v3_server):
         with _raw_connection(v3_server) as sock:
             response = _frame_roundtrip(sock, self.FIXTURE.read_bytes())
@@ -572,6 +670,26 @@ class TestGoldenV3Frame:
             client.snapshot(drain=True)
             assert client.estimate("alpha") == 2.0
             assert client.estimate(("10.0.0.1", 443)) == 0.5
+
+
+class TestGoldenV4Frame:
+    """A protocol-4 frame: the packed chunk record today's encoder writes."""
+
+    FIXTURE = DATA_DIR / "ingest-frame-v4.bin"
+
+    def test_fixture_matches_current_encoder(self):
+        """Today's encoder still produces the committed bytes."""
+        chunk = _chunk(GOLDEN_ITEMS, GOLDEN_WEIGHTS)
+        frame = encode_socket_frame(SOCKET_FRAME_INGEST, encode_chunk_record(chunk))
+        assert frame == self.FIXTURE.read_bytes()
+
+    def test_fixture_decodes_to_the_golden_chunk(self):
+        _, record = read_socket_frame(io.BytesIO(self.FIXTURE.read_bytes()))
+        payload = parse_chunk_record(record)
+        assert bytes(payload[:4]) == serialization.PACKED_CHUNK_MAGIC
+        chunk = serialization.load_chunk_bytes(payload)
+        assert chunk.items() == GOLDEN_ITEMS
+        assert [float(w) for w in chunk.weights] == GOLDEN_WEIGHTS
 
 
 # --------------------------------------------------------------------------- #
