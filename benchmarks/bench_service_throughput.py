@@ -1,14 +1,12 @@
 """Service-layer benchmark: sharded concurrent ingest vs direct ingestion.
 
 Measures what the service subsystem adds on top of the PR-1 batched fast
-path: a ``ShardedSummarizer`` partitions each chunk by item hash and hands
-the per-shard batches to worker threads over bounded queues, while the
-baseline feeds the same chunks into a single summary on the calling
-thread.  Summary work in pure Python holds the GIL, so sharding buys
-pipeline overlap (partitioning in the producer while shards apply batches)
-rather than linear CPU scaling -- the benchmark exists to keep that
-overhead/overlap trade-off visible per PR, alongside the snapshot
-(Theorem 11 merge) latency that queries pay.
+path: a ``ShardedSummarizer`` partitions each chunk by item hash and
+applies the per-shard batches inline on the calling thread (thread
+backend), while the baseline feeds the same chunks into a single summary
+on the calling thread.  Sharding on threads buys no CPU scaling -- the
+benchmark exists to keep the partitioning overhead visible per PR,
+alongside the snapshot (Theorem 11 merge) latency that queries pay.
 
 Every configuration also runs *columnar*: chunks are interned through a
 shared (pre-warmed) :class:`repro.engine.codec.TokenCodec` into encoded

@@ -592,13 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=sorted(_UNIT_ALGORITHMS), default="spacesaving"
     )
     serve.add_argument("--counters", type=int, default=1_000, help="counter budget m per shard")
-    serve.add_argument("--shards", type=int, default=4, help="concurrent shard workers")
+    serve.add_argument("--shards", type=int, default=4, help="hash-partitioned shard summaries")
     serve.add_argument(
         "--shard-backend",
         choices=["thread", "process"],
         default=None,
-        help="shard workers as threads (default; one interpreter, GIL-bound "
-        "aggregate ingest) or as supervised worker processes (one per shard, "
+        help="shards as summaries in this interpreter, applied inline (default) "
+        "or as supervised worker processes (one per shard, "
         "fed the framed chunk records over pipes -- scales ingest across "
         "cores; dead workers restart from checkpoint + WAL replay); "
         "unset falls back to $REPRO_SHARD_BACKEND, then thread",

@@ -402,12 +402,12 @@ class EncodedChunk:
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        # Copy, don't view: a chunk may sit on a shard queue after the
-        # producer's buffers are reused, and the validation below must not
-        # be bypassable by post-construction mutation.  (Internal
-        # construction via ``encode_chunk``/``select`` uses a trusted path
-        # that skips this constructor, so the ingest and fan-out hot paths
-        # pay no redundant copies or scans.)
+        # Copy, don't view: a chunk may outlive the producer's buffers,
+        # and the validation below must not be bypassable by
+        # post-construction mutation.  (Internal construction via
+        # ``encode_chunk``/``select`` uses a trusted path that skips this
+        # constructor, so the ingest and fan-out hot paths pay no
+        # redundant copies or scans.)
         ids = np.array(self.ids, dtype=np.int64)
         object.__setattr__(self, "ids", ids)
         if self.weights is not None:

@@ -2,19 +2,20 @@
 
 The architectural leap from algorithm library to system: because the
 paper's counter summaries merge with a ``(3A, A+B)`` k-tail guarantee
-(Theorem 11), ingest can be sharded across concurrent workers and queries
-can be answered from merged snapshots without losing certified error
-bounds.  The pipeline is::
+(Theorem 11), ingest can be sharded across per-shard summaries and
+queries can be answered from merged snapshots without losing certified
+error bounds.  The pipeline is::
 
-    tokens --> ShardedSummarizer (hash-partitioned shard threads,
-           |                      bounded queues, batched updates)
+    tokens --> ShardedSummarizer (hash-partitioned shard summaries,
+           |                      batched updates applied inline)
            +-> WindowedSummarizer (ring-buffered per-bucket summaries)
 
     SnapshotManager: shard copies --merge (Thm 11)--> versioned Snapshot
     Snapshot / WindowAnswer: point, top-k, heavy-hitters queries
     server/client: NDJSON lines + v3 binary ingest frames, one TCP socket
 
-* :mod:`repro.service.sharding` -- concurrent hash-sharded ingestion;
+* :mod:`repro.service.sharding` -- hash-sharded ingestion (inline
+  thread shards, or supervised worker processes);
 * :mod:`repro.service.snapshots` -- versioned, persisted, queryable
   snapshots carrying the merged guarantee;
 * :mod:`repro.service.windows` -- sliding-window heavy hitters over

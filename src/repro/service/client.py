@@ -351,7 +351,7 @@ class ServiceClient:
         every pushed token is on disk and survives a crash
         (``last_ingest_wal`` holds the acked log position).  Without a WAL
         -- or under weaker fsync policies -- an ack only means the tokens
-        reached the shard queues.
+        reached the shards.
 
         Wire encoding: against a protocol-4 server (unless constructed
         with ``binary="never"``) the chunk ships as one binary frame --

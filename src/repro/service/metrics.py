@@ -1,7 +1,7 @@
 """Zero-dependency Prometheus-style metrics for the service plane.
 
-The operations story needs numbers, not logs: ingest rate, shard queue
-depths, WAL fsync latency, snapshot age.  This module is a small,
+The operations story needs numbers, not logs: ingest rate, per-shard
+progress, WAL fsync latency, snapshot age.  This module is a small,
 stdlib-only implementation of the three Prometheus instrument kinds --
 :class:`Counter`, :class:`Gauge`, :class:`Histogram` -- plus a
 :class:`MetricsRegistry` that renders them in the Prometheus *text

@@ -151,12 +151,14 @@ class ServiceConfig:
     num_shards: int = 4
     k: int = 10
     weighted: bool = False
+    #: Process backend only: chunks in flight to each shard worker process
+    #: before producers block.  Thread shards apply inline and queue nothing.
     queue_depth: int = DEFAULT_QUEUE_DEPTH
-    #: Shard worker backend: ``"thread"`` (shards as threads in this
-    #: interpreter, GIL-bound aggregate throughput), ``"process"`` (each
-    #: shard a supervised ``multiprocessing`` worker fed the CRC-framed
-    #: chunk records over a pipe -- scales ingest past the GIL), or
-    #: ``None`` to resolve from ``REPRO_SHARD_BACKEND`` (default thread).
+    #: Shard backend: ``"thread"`` (shards as summaries in this
+    #: interpreter, each chunk applied inline before the ack), ``"process"``
+    #: (each shard a supervised ``multiprocessing`` worker fed the
+    #: CRC-framed chunk records over a pipe), or ``None`` to resolve from
+    #: ``REPRO_SHARD_BACKEND`` (default thread).
     shard_backend: str | None = None
     window_buckets: int = 0
     snapshot_interval: float = 0.0
@@ -420,7 +422,8 @@ class HeavyHittersService:
 
         registry.register_callback(
             "repro_shard_queue_depth",
-            "Batches waiting in each shard worker's queue.",
+            "Chunks in flight to each shard worker process (always 0 on the "
+            "thread backend, which applies inline).",
             "gauge",
             shard_samples("pending_batches"),
         )
@@ -694,9 +697,10 @@ class HeavyHittersService:
 
         Ready means the service can take traffic *now*: it has been
         started (recovery replay, which runs before ``start()``, shows up
-        as not-ready), it has not been closed, every shard worker thread
-        is alive and draining its queue, and the WAL (when configured) is
-        still accepting appends.
+        as not-ready), it has not been closed, every shard can apply chunks
+        (always, on the thread backend; under the process backend, every
+        worker process is alive), and the WAL (when configured) is still
+        accepting appends.
         """
         return {
             "started": self._started,
@@ -766,7 +770,7 @@ class HeavyHittersService:
         """Write a durable checkpoint and prune the WAL segments it covers.
 
         Under the ingest lock the current WAL tail is captured and the
-        shard queues drained, so the persisted shard payloads contain
+        shards flushed, so the persisted shard payloads contain
         *exactly* the chunks logged before that position -- recovery
         resumes replay there with no gap and no double count.
         """
@@ -976,12 +980,12 @@ class HeavyHittersService:
         Durability boundary: the record hits the log (fsync per policy)
         before any shard sees it, and the ack only goes out after the
         append returns -- so under fsync="always" an acked token is on
-        disk.  Enqueue stays under the lock so a concurrent checkpoint's
+        disk.  Fan-out stays under the lock so a concurrent checkpoint's
         WAL position always matches what the shards were handed.  A
         pending shard failure is surfaced *before* the append: otherwise
         this request would error after durably logging its chunk, and a
         producer that retries on error would double-count on recovery.
-        (The enqueue itself cannot fail validation -- the codec admitted
+        (The fan-out itself cannot fail validation -- the codec admitted
         every token already.)
         """
         self.sharded.raise_pending_errors()
@@ -1027,9 +1031,11 @@ class HeavyHittersService:
     ) -> dict[str, Any]:
         """The shared ingest epilogue: forced-trace barrier, metrics, ack."""
         if trace is not None and trace.forced:
-            # Barrier for forced traces only: draining the queues lets the
-            # response breakdown cover the full decode -> admission ->
-            # wal_append -> shard_apply pipeline.  Ambient samples stay
+            # Barrier for forced traces only: on the process backend,
+            # draining the worker pipes lets the response breakdown cover
+            # the full decode -> admission -> wal_append -> shard_apply
+            # pipeline (thread shards applied inline already, so this is a
+            # no-op there).  Ambient samples on the process backend stay
             # asynchronous; their shard_apply spans land in the ring after
             # the ack.
             self.sharded.flush()
@@ -1326,23 +1332,9 @@ class HeavyHittersService:
         snapshot = self.snapshots.latest_or_refresh(trace=trace)
         if trace is not None:
             mark = time.perf_counter()
-        response = {"ok": True, **self._snapshot_payload(snapshot)}
-        if query_type == "point":
-            if "item" not in request:
-                return {"ok": False, "error": "point query requires 'item'"}
-            item = self._query_item(request)
-            value, tagged = _wire_item(item)
-            response["item"] = value
-            if tagged:
-                response["item_tagged"] = True
-            response["estimate"] = snapshot.estimate(item)
-        elif query_type == "top-k":
-            k = int(request.get("k", self.config.k))
-            response["top_k"] = _wire_entries(snapshot.top_k(k))
-        else:  # heavy-hitters
-            phi = float(request["phi"])
-            response["phi"] = phi
-            response["heavy_hitters"] = _wire_entries(snapshot.heavy_hitters(phi))
+        response = self._answer(
+            query_type, snapshot, request, {"ok": True, **self._snapshot_payload(snapshot)}
+        )
         if trace is not None:
             trace.add_span(
                 "query_execute",
@@ -1371,7 +1363,22 @@ class HeavyHittersService:
             "empty": answer.empty,
             "guarantee": _guarantee_payload(answer.constants, answer.k, num_counters),
         }
-        if query_type == "window-point":
+        return self._answer(query_type.removeprefix("window-"), answer, request, response)
+
+    def _answer(
+        self,
+        query_type: str,
+        answer: Snapshot | WindowAnswer,
+        request: dict[str, Any],
+        response: dict[str, Any],
+    ) -> dict[str, Any]:
+        """Add a point, top-k or heavy-hitters answer to ``response``.
+
+        Shared by the snapshot and window queries so both validate their
+        parameters alike; a bad parameter raises ``ValueError``, which
+        :meth:`handle` turns into an ``ok: false`` response.
+        """
+        if query_type == "point":
             if "item" not in request:
                 return {"ok": False, "error": "point query requires 'item'"}
             item = self._query_item(request)
@@ -1380,10 +1387,12 @@ class HeavyHittersService:
             if tagged:
                 response["item_tagged"] = True
             response["estimate"] = answer.estimate(item)
-        elif query_type == "window-top-k":
+        elif query_type == "top-k":
             k = int(request.get("k", self.config.k))
+            if k < 0:
+                raise ValueError(f"k must be >= 0, got {k}")
             response["top_k"] = _wire_entries(answer.top_k(k))
-        else:  # window-heavy-hitters
+        else:  # heavy-hitters
             phi = float(request["phi"])
             response["phi"] = phi
             response["heavy_hitters"] = _wire_entries(answer.heavy_hitters(phi))

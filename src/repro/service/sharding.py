@@ -1,22 +1,24 @@
-"""Concurrent sharded ingestion: hash-partitioned shard workers.
+"""Sharded ingestion: hash-partitioned per-shard summaries.
 
 The service half of the paper's mergeability story (Section 6.2): because
 counter summaries merge with a ``(3A, A+B)`` guarantee (Theorem 11), a
 heavy-hitters service can *shard* its ingest path -- hash-partition the
-token stream across ``N`` workers, let each worker maintain its own
+token stream across ``N`` shards, let each shard maintain its own
 summary, and merge on demand -- without giving up certified answers.
 
 :class:`ShardedSummarizer` implements the ingest side behind a
 **backend seam** (:func:`resolve_backend`):
 
 ``thread`` (default)
-    Each shard is a daemon thread draining a *bounded* queue -- producers
-    block when a shard falls behind, which is the service's backpressure.
-    A shard applies each dequeued chunk through the batched fast path
-    (:meth:`~repro.algorithms.base.FrequencyEstimator.update_batch`), so
-    the per-token cost is the PR-1 aggregated one, not a Python-level
-    loop.  All shards share one interpreter: aggregate throughput is
-    GIL-bound.
+    Each shard is a summary behind a lock in this interpreter.
+    :meth:`ShardedSummarizer.ingest` partitions the chunk and applies
+    each part under its shard's lock, in the caller's thread, through
+    the batched fast path
+    (:meth:`~repro.algorithms.base.FrequencyEstimator.update_batch`)
+    before it returns.  There are no worker threads or queues: summary
+    updates in Python hold the GIL, so they would buy no parallelism,
+    and the service already serialises ingest under its ingest lock.
+    ``num_shards`` is a placement and merge concept here.
 
 ``process``
     Each shard is a ``multiprocessing`` worker process fed over a pipe
@@ -40,9 +42,10 @@ uses for cross-site hash partitioning, so in-process shards, worker
 processes and remote sites all agree on who owns an item).
 
 Shard summaries are read either live (:meth:`shard_summaries`, after a
-:meth:`flush` barrier) or as consistent copies taken on a batch boundary
-(:meth:`snapshot_summaries`) while ingestion keeps running -- the latter
-is what :class:`repro.service.snapshots.SnapshotManager` builds queryable
+:meth:`flush` barrier -- a no-op on threads) or as consistent copies
+taken on a batch boundary (:meth:`snapshot_summaries`) while ingestion
+keeps running -- the latter is what
+:class:`repro.service.snapshots.SnapshotManager` builds queryable
 snapshots from.  The thread backend takes each copy with the estimator's
 structural :meth:`~repro.algorithms.base.FrequencyEstimator.copy` under
 the shard's lock, so a snapshot stalls a shard only for a table copy; a
@@ -71,7 +74,6 @@ import multiprocessing
 import multiprocessing.util  # noqa: F401
 import os
 import pickle
-import queue
 import signal
 import struct
 import threading
@@ -93,26 +95,24 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 EstimatorFactory = Callable[[], FrequencyEstimator]
 RebuildHook = Callable[[int], "FrequencyEstimator | None"]
 
-#: Default bound on the number of pending chunks per shard queue.  Small
-#: enough that a stalled shard exerts backpressure on producers quickly,
-#: large enough to keep workers busy across producer hiccups.
+#: Default bound on the chunks in flight to each process-backend worker.
+#: Small enough that a stalled worker exerts backpressure on producers
+#: quickly, large enough to keep workers busy across producer hiccups.
 DEFAULT_QUEUE_DEPTH = 64
 
 #: The supported shard backends (see the module docstring).
 BACKENDS = ("thread", "process")
 
-#: Poll interval for every bounded wait that must recheck worker
-#: liveness: a producer blocked on a full queue, a flush barrier, a
-#: snapshot round trip.  Small enough that a dead worker surfaces as a
-#: prompt ``RuntimeError`` instead of a hang; large enough that the
-#: recheck is free next to the work it guards.
+#: Poll interval for every bounded wait on a worker process that must
+#: recheck its liveness: a producer blocked on a full pipe, a flush
+#: barrier, a snapshot round trip.  Small enough that a dead worker
+#: surfaces as a prompt ``RuntimeError`` instead of a hang; large enough
+#: that the recheck is free next to the work it guards.
 _LIVENESS_POLL_SECONDS = 0.05
 
 #: How long close() waits for a worker process to drain and exit before
 #: escalating to terminate().
 _CLOSE_JOIN_SECONDS = 10.0
-
-_STOP = object()
 
 
 def resolve_backend(name: str | None = None) -> str:
@@ -151,10 +151,9 @@ def partition_batch(
     Only shards that actually receive tokens appear in the result.  Negative
     and non-finite weights -- and tokens the wire format cannot carry
     (:func:`repro.engine.codec.validate_tokens`) -- are rejected *here*,
-    before anything reaches a shard queue, so a bad token surfaces
-    synchronously to the producer that sent it instead of failing
-    asynchronously inside a worker, poisoning a later snapshot
-    serialisation, or (for NaN) silently corrupting a shard's counters.
+    before any shard applies a part, so a bad token fails the whole chunk
+    instead of part of it, poisoning a later snapshot serialisation, or
+    (for NaN) silently corrupting a shard's counters.
     Encoded chunks were already validated at construction: their codec runs
     admission control at intern time.
     """
@@ -191,11 +190,7 @@ def partition_batch(
         if not len(items):
             return {}
         if isinstance(items, np.ndarray):
-            # Copy: the batch outlives this call on a shard queue, and the
-            # producer is free to reuse its buffer once ingest() returns.
-            return {
-                0: (items.copy(), None if weights is None else np.array(weights))
-            }
+            return {0: (items, weights)}
         batch_weights = list(weights) if weights is not None else None
         return {0: (list(items), batch_weights)}
     if not len(items):
@@ -230,95 +225,69 @@ def partition_batch(
     return parts
 
 
-class _ShardWorker(threading.Thread):
-    """One shard: a thread owning a summary and draining a bounded queue."""
+class _Shard:
+    """One in-interpreter shard: a summary, the lock that guards it, counters."""
 
-    def __init__(
-        self, shard_id: int, estimator: FrequencyEstimator, queue_depth: int
-    ) -> None:
-        super().__init__(name=f"shard-{shard_id}", daemon=True)
+    def __init__(self, shard_id: int, estimator: FrequencyEstimator) -> None:
         self.shard_id = shard_id
         self.estimator = estimator
-        self.queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self.lock = threading.Lock()
         self.error: BaseException | None = None
         self.tokens_applied = 0
         self.batches_applied = 0
         self.batches_failed = 0
 
-    def run(self) -> None:
-        while True:
-            batch = self.queue.get()
-            if batch is _STOP:
-                self.queue.task_done()
-                return
-            items, weights, trace = batch
-            try:
-                if trace is not None:
-                    started = time.perf_counter()
-                with self.lock:
-                    self.estimator.update_batch(items, weights)
-                    self.tokens_applied += len(items)
-                    self.batches_applied += 1
-                if trace is not None:
-                    trace.add_span(
-                        "shard_apply",
-                        time.perf_counter() - started,
-                        shard=self.shard_id,
-                        tokens=len(items),
-                    )
-            # repro-lint: boundary shard-thread entry point; errors surface to producers on flush()
-            except BaseException as exc:
-                # Only the failing batch is dropped; batches queued behind
-                # it still apply.  The first error wins until surfaced.
-                with self.lock:
-                    self.batches_failed += 1
-                    if self.error is None:
-                        self.error = exc
-            finally:
-                self.queue.task_done()
+    def apply(self, batch: ShardBatch, trace: "Trace | None") -> bool:
+        """Apply one part in the caller's thread; False if it was dropped."""
+        items, weights = batch
+        if trace is not None:
+            started = time.perf_counter()
+        try:
+            with self.lock:
+                self.estimator.update_batch(items, weights)
+                self.tokens_applied += len(items)
+                self.batches_applied += 1
+        # repro-lint: boundary inline shard apply; the failed part is dropped and its error surfaces on the next ingest/flush
+        except Exception as exc:
+            # The first error wins until surfaced.
+            with self.lock:
+                self.batches_failed += 1
+                if self.error is None:
+                    self.error = exc
+            return False
+        if trace is not None:
+            # Outside the shard lock: add_span takes the trace's own lock.
+            trace.add_span(
+                "shard_apply",
+                time.perf_counter() - started,
+                shard=self.shard_id,
+                tokens=len(items),
+            )
+        return True
 
 
 class _ThreadShardBackend:
-    """The in-interpreter backend: one :class:`_ShardWorker` per shard."""
+    """The in-interpreter backend: each part is applied inline under its
+    shard's lock (see the module docstring for why there are no threads)."""
 
     name = "thread"
 
-    def __init__(
-        self,
-        make_estimator: EstimatorFactory,
-        num_shards: int,
-        queue_depth: int,
-    ) -> None:
+    def __init__(self, make_estimator: EstimatorFactory, num_shards: int) -> None:
         self.num_shards = num_shards
-        self.workers = [
-            _ShardWorker(shard_id, make_estimator(), queue_depth)
-            for shard_id in range(num_shards)
+        self.shards = [
+            _Shard(shard_id, make_estimator()) for shard_id in range(num_shards)
         ]
 
     # -- lifecycle ----------------------------------------------------- #
 
     def start(self) -> None:
-        for worker in self.workers:
-            worker.start()
+        pass
 
     def close(self) -> None:
-        for worker in self.workers:
-            # A dead worker cannot drain its queue: skip the sentinel
-            # (its join below returns immediately) instead of blocking
-            # forever on a full queue -- the close() half of the
-            # dead-worker hang fixed in dispatch().
-            while worker.is_alive():
-                try:
-                    worker.queue.put(_STOP, timeout=_LIVENESS_POLL_SECONDS)
-                    break
-                except queue.Full:
-                    continue
-        for worker in self.workers:
-            worker.join()
+        pass
 
     def workers_alive(self) -> bool:
-        return all(worker.is_alive() for worker in self.workers)
+        return True
 
     # -- ingest -------------------------------------------------------- #
 
@@ -331,77 +300,36 @@ class _ThreadShardBackend:
         account: Callable[[int, int], None],
     ) -> int:
         # The pre-framed record (when the caller has one) is a WAL/wire
-        # concern; the thread backend hands workers the in-memory chunk.
+        # concern; the thread backend applies the in-memory chunk.
         del record
-        parts = partition_batch(items, self.num_shards, weights)
-        for shard_id, batch in parts.items():
-            # Queue entries are (items, weights, trace): the worker
-            # records a shard_apply span for sampled requests.
-            self._put_batch(self.workers[shard_id], (batch[0], batch[1], trace))
-            # Stats roll per part, not after the loop: if a later put
-            # fails, the shards that already received their parts will
-            # still apply them, and queue_stats()-backed metrics must
-            # agree with those applied totals.
-            account(len(batch[0]), 1)
+        for shard_id, batch in partition_batch(items, self.num_shards, weights).items():
+            if self.shards[shard_id].apply(batch, trace):
+                account(len(batch[0]), 1)
         return len(items)
-
-    def _put_batch(
-        self, worker: _ShardWorker, entry: tuple[Any, Any, "Trace | None"]
-    ) -> None:
-        """Bounded put that rechecks worker liveness instead of hanging.
-
-        A dead worker's queue never drains, so a blocking ``put`` against
-        a full queue would strand the producer forever (and ``close()``
-        behind it, waiting on ``_active_producers``).  Poll with a short
-        timeout and surface the dead shard as a ``RuntimeError``.
-        """
-        while True:
-            if not worker.is_alive():
-                raise RuntimeError(
-                    f"shard {worker.shard_id} worker thread is not running; "
-                    "batch not enqueued"
-                )
-            try:
-                worker.queue.put(entry, timeout=_LIVENESS_POLL_SECONDS)
-                return
-            except queue.Full:
-                continue
 
     # -- barriers and errors ------------------------------------------- #
 
     def flush(self) -> None:
-        for worker in self.workers:
-            pending = worker.queue
-            # queue.join() has no timeout and would hang on a dead
-            # worker's unfinished batches; wait on the same condition it
-            # uses, rechecking liveness.
-            with pending.all_tasks_done:
-                while pending.unfinished_tasks:
-                    if not worker.is_alive():
-                        raise RuntimeError(
-                            f"shard {worker.shard_id} worker thread died with "
-                            f"{pending.unfinished_tasks} batch(es) outstanding"
-                        )
-                    pending.all_tasks_done.wait(_LIVENESS_POLL_SECONDS)
+        pass
 
     def pop_error(self) -> tuple[int, BaseException | str] | None:
-        for worker in self.workers:
-            with worker.lock:
-                error = worker.error
-                worker.error = None
+        for shard in self.shards:
+            with shard.lock:
+                error = shard.error
+                shard.error = None
             if error is not None:
-                return worker.shard_id, error
+                return shard.shard_id, error
         return None
 
     def inject_error(self, shard_id: int, error: BaseException) -> None:
-        with self.workers[shard_id].lock:
-            self.workers[shard_id].error = error
+        with self.shards[shard_id].lock:
+            self.shards[shard_id].error = error
 
     # -- durability and reads ------------------------------------------ #
 
     def restore(self, estimators: Sequence[FrequencyEstimator]) -> None:
-        for worker, estimator in zip(self.workers, estimators, strict=True):
-            worker.estimator = estimator
+        for shard, estimator in zip(self.shards, estimators, strict=True):
+            shard.estimator = estimator
 
     def payloads(self) -> list[dict[str, Any]]:
         from repro import serialization
@@ -411,34 +339,34 @@ class _ThreadShardBackend:
         return [serialization.dump(copy) for copy in self.snapshot_copies()]
 
     def summaries_live(self) -> list[FrequencyEstimator]:
-        return [worker.estimator for worker in self.workers]
+        return [shard.estimator for shard in self.shards]
 
     def snapshot_copies(self) -> list[FrequencyEstimator]:
         copies = []
-        for worker in self.workers:
-            with worker.lock:
-                copies.append(worker.estimator.copy())
+        for shard in self.shards:
+            with shard.lock:
+                copies.append(shard.estimator.copy())
         return copies
 
     def stream_length(self) -> float:
         total = 0.0
-        for worker in self.workers:
-            with worker.lock:
-                total += worker.estimator.stream_length
+        for shard in self.shards:
+            with shard.lock:
+                total += shard.estimator.stream_length
         return total
 
     def shard_stats(self) -> list[dict[str, float]]:
         stats = []
-        for worker in self.workers:
-            with worker.lock:
+        for shard in self.shards:
+            with shard.lock:
                 stats.append(
                     {
-                        "shard": worker.shard_id,
-                        "tokens_applied": worker.tokens_applied,
-                        "batches_applied": worker.batches_applied,
-                        "stream_length": worker.estimator.stream_length,
-                        "counters_in_use": len(worker.estimator),
-                        "pending_batches": worker.queue.qsize(),
+                        "shard": shard.shard_id,
+                        "tokens_applied": shard.tokens_applied,
+                        "batches_applied": shard.batches_applied,
+                        "stream_length": shard.estimator.stream_length,
+                        "counters_in_use": len(shard.estimator),
+                        "pending_batches": 0,
                     }
                 )
         return stats
@@ -446,13 +374,13 @@ class _ThreadShardBackend:
     def queue_stats(self) -> list[dict[str, float]]:
         return [
             {
-                "shard": worker.shard_id,
-                "pending_batches": worker.queue.qsize(),
-                "tokens_applied": worker.tokens_applied,
-                "batches_applied": worker.batches_applied,
-                "batches_failed": worker.batches_failed,
+                "shard": shard.shard_id,
+                "pending_batches": 0,
+                "tokens_applied": shard.tokens_applied,
+                "batches_applied": shard.batches_applied,
+                "batches_failed": shard.batches_failed,
             }
-            for worker in self.workers
+            for shard in self.shards
         ]
 
 
@@ -1170,10 +1098,11 @@ class ShardedSummarizer:
         own instance; the same factory is reused by the snapshot layer for
         the Theorem 11 merge.
     num_shards:
-        Number of shard workers.
+        Number of shards.
     queue_depth:
-        Bound on pending chunks per shard; producers block (backpressure)
-        when a shard's queue is full.
+        Process backend only: bound on chunks in flight to each worker
+        process; producers block (backpressure) when a worker's pipe is
+        full.  The thread backend applies inline and has no queue.
     backend:
         ``"thread"`` (default), ``"process"``, or ``None`` to resolve via
         the ``REPRO_SHARD_BACKEND`` environment variable -- see
@@ -1190,7 +1119,6 @@ class ShardedSummarizer:
     >>> from repro.algorithms import SpaceSaving
     >>> with ShardedSummarizer(lambda: SpaceSaving(64), num_shards=2) as sharded:
     ...     _ = sharded.ingest(["a", "b", "a", "c"])
-    ...     sharded.flush()
     ...     total = sharded.stream_length
     >>> total
     4.0
@@ -1217,9 +1145,7 @@ class ShardedSummarizer:
                 make_estimator, num_shards, queue_depth, rebuild_shard
             )
         else:
-            self._backend = _ThreadShardBackend(
-                make_estimator, num_shards, queue_depth
-            )
+            self._backend = _ThreadShardBackend(make_estimator, num_shards)
         self._started = False
         self._closed = False
         # Guards the lifecycle flags, the stats counters, and the count of
@@ -1232,25 +1158,15 @@ class ShardedSummarizer:
 
     @property
     def backend_name(self) -> str:
-        """Which backend runs the shard workers (``thread`` / ``process``)."""
+        """Which backend holds the shards (``thread`` / ``process``)."""
         return self._backend.name
-
-    @property
-    def _workers(self) -> list[_ShardWorker]:
-        """The thread backend's workers (tests and fault injection only)."""
-        if not isinstance(self._backend, _ThreadShardBackend):
-            raise RuntimeError(
-                "the process backend has no in-interpreter workers; use "
-                "inject_shard_error() / queue_stats() instead"
-            )
-        return self._backend.workers
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
     def start(self) -> ShardedSummarizer:
-        """Start the shard workers (idempotent)."""
+        """Start the shard worker processes (idempotent; no-op on threads)."""
         with self._state:
             if self._closed:
                 raise RuntimeError("summarizer is closed")
@@ -1261,14 +1177,13 @@ class ShardedSummarizer:
         return self
 
     def close(self) -> None:
-        """Drain every queue, stop the workers and join them.
+        """Stop ingest; on the process backend, drain and join the workers.
 
-        Waits for in-flight ingest() calls to finish enqueueing before the
-        backend shuts down, so no batch can land behind a stop sentinel
-        (which would drop its tokens and leave flush() waiting forever).
-        A producer stuck on a dead worker cannot stall this wait: its
-        bounded put notices the dead worker and errors out (see the
-        backends' dispatch paths).
+        Waits for in-flight ingest() calls to return before the backend
+        shuts down, so no chunk can land behind a worker's stop message
+        (which would drop its tokens).  A producer stuck on a dead worker
+        process cannot stall this wait: its bounded send notices the dead
+        worker and errors out.
         """
         with self._state:
             if self._closed:
@@ -1297,13 +1212,15 @@ class ShardedSummarizer:
             return self._closed
 
     def workers_alive(self) -> bool:
-        """True while every shard worker is running and able to drain.
+        """True while every shard can apply chunks.
 
-        The readiness probe's "shards draining" check: a dead worker means
-        its queue backs up until producers error out, so the service must
-        stop advertising itself as ready.  Under the process backend this
-        also covers the supervisor's restart window: a shard whose worker
-        process died reads as not-alive until its replacement is running.
+        The readiness probe's "shards draining" check.  Thread shards
+        apply inline, so this is true between :meth:`start` and
+        :meth:`close`.  Under the process backend a dead worker's pipe
+        backs up until producers error out, so the service must stop
+        advertising itself as ready; this also covers the supervisor's
+        restart window: a shard whose worker process died reads as
+        not-alive until its replacement is running.
         """
         with self._state:
             if not self._started or self._closed:
@@ -1325,13 +1242,13 @@ class ShardedSummarizer:
         trace: Trace | None = None,
         record: bytes | None = None,
     ) -> int:
-        """Route a chunk of tokens to their shards; returns tokens enqueued.
+        """Route a chunk of tokens to their shards; returns tokens routed.
 
         ``items`` may be a plain sequence, a NumPy array, or an
         :class:`~repro.engine.codec.EncodedChunk` (with ``weights=None``);
         encoded chunks are fan-out partitioned with one vectorised
-        ``shard_array`` call and each worker applies its sub-chunk through
-        the columnar ``update_batch`` path.  Shard workers only *read* the
+        ``shard_array`` call and each shard applies its sub-chunk through
+        the columnar ``update_batch`` path.  Shards only *read* the
         chunk's codec, so one codec may feed every shard -- but interning
         (``encode_chunk``) is not thread-safe: encode on a single producer
         thread, or give each producer its own codec, or serialise encoding
@@ -1343,14 +1260,19 @@ class ShardedSummarizer:
         worker pipes with no re-serialisation; the thread backend ignores
         it.
 
-        Blocks when a destination shard's queue is full (backpressure).
-        If a shard worker dies, the bounded put re-checks its liveness and
-        raises ``RuntimeError`` instead of blocking forever.
+        Thread backend: every part is applied under its shard's lock
+        before this call returns.  A part whose ``update_batch`` raises is
+        dropped and recorded as that shard's error, which the next
+        ingest/:meth:`flush`/:meth:`raise_pending_errors` raises.  Process
+        backend: the record is sent to every worker and applied
+        asynchronously; a send blocks while a worker has ``queue_depth``
+        chunks in flight (backpressure) and raises ``RuntimeError`` if the
+        worker is dead rather than blocking forever.
 
         A sampled ``trace`` (see :mod:`repro.service.tracing`) rides
-        along with each sub-batch; the owning worker appends a
-        ``shard_apply`` span when it applies the batch — possibly after
-        this call has already returned (apply is asynchronous).
+        along with each sub-batch and gets a ``shard_apply`` span per part
+        applied: before this call returns on threads, possibly after it
+        on the process backend.
         """
         with self._state:
             if not self._started or self._closed:
@@ -1369,12 +1291,12 @@ class ShardedSummarizer:
                 self._state.notify_all()
 
     def _account(self, tokens: int, batches: int) -> None:
-        """Roll enqueue stats as each part lands on its shard queue.
+        """Roll enqueue stats as each part is applied or sent.
 
-        Called by the backends once per delivered part, *inside* their
-        fan-out loops: if a later shard's enqueue fails, the parts already
-        delivered will still be applied, and ``queue_stats()``-backed
-        metrics must agree with those applied totals.
+        Called by the backends once per part, *inside* their fan-out
+        loops: if a later shard's part fails, the parts already delivered
+        stay applied, and ``queue_stats()``-backed metrics must agree with
+        those applied totals.
         """
         with self._state:
             self.tokens_enqueued += tokens
@@ -1395,18 +1317,20 @@ class ShardedSummarizer:
         return self.ingest(items, weights, trace=trace)
 
     def flush(self) -> None:
-        """Block until every enqueued chunk has been applied to its shard.
+        """Block until every ingested chunk has been applied to its shard.
 
-        Raises ``RuntimeError`` when a shard worker died with batches
-        outstanding -- those batches can never be applied (under a
-        WAL-backed process backend the supervisor rebuilds them into the
+        Thread shards apply inline, so there is nothing to wait for; this
+        only raises a recorded shard error.  On the process backend it
+        waits for every worker, and raises ``RuntimeError`` when a worker
+        process died with chunks outstanding -- those can never be applied
+        by it (under a WAL the supervisor rebuilds them into the
         replacement worker from the log).
         """
         self._backend.flush()
         self._raise_pending_errors()
 
     def raise_pending_errors(self) -> None:
-        """Surface any recorded shard-worker failure to the caller.
+        """Surface any recorded shard failure to the caller.
 
         Public so ingest boundaries with side effects (the WAL append in
         :meth:`repro.service.server.HeavyHittersService._op_ingest`) can
@@ -1415,7 +1339,7 @@ class ShardedSummarizer:
         self._raise_pending_errors()
 
     def _raise_pending_errors(self) -> None:
-        """Surface a worker failure once, then let the service recover.
+        """Surface a shard failure once, then let the service recover.
 
         The error is cleared after being raised: the batch that triggered
         it is dropped (its tokens are lost from the shard's summary), but
@@ -1483,7 +1407,7 @@ class ShardedSummarizer:
     def shard_summaries(self) -> list[FrequencyEstimator]:
         """The per-shard summaries, after a full flush barrier.
 
-        Thread backend: the workers' own live instances -- only read them
+        Thread backend: the shards' own live instances -- only read them
         while no further ingest is in flight (use
         :meth:`snapshot_summaries` otherwise).  Process backend: no live
         reference can cross the process boundary, so these are the same
@@ -1523,9 +1447,11 @@ class ShardedSummarizer:
         """Lock-free per-shard progress counters, cheap enough per scrape.
 
         Unlike :meth:`shard_stats` this never blocks on a shard applying
-        a batch; the integer reads are each individually consistent.  The
-        process backend adds its supervisor columns: ``restarts``,
-        ``alive`` and ``rss_bytes`` per worker process.
+        a batch; the integer reads are each individually consistent.
+        ``pending_batches`` counts chunks in flight to a worker process
+        (always 0 on threads, which apply inline).  The process backend
+        adds its supervisor columns: ``restarts``, ``alive`` and
+        ``rss_bytes`` per worker process.
         """
         return self._backend.queue_stats()
 

@@ -192,7 +192,7 @@ class SnapshotManager:
     def refresh(self, drain: bool = False, trace: Trace | None = None) -> Snapshot:
         """Merge consistent shard copies into a new versioned snapshot.
 
-        With ``drain=True`` the shard queues are flushed first, so the
+        With ``drain=True`` the shards are flushed first, so the
         snapshot reflects everything ingested before the call -- the
         barrier end-to-end tests (and graceful shutdown) want.  Without it
         the snapshot is simply a consistent cut at batch boundaries while

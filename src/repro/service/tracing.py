@@ -25,13 +25,15 @@ hatch (``?trace=1`` over HTTP, ``trace={"force": true}`` over NDJSON)
 for interactive debugging.  Sampled traces land in a bounded ring
 buffer (old traces fall off the back) exported via ``GET /v1/traces``.
 
-A ``Trace`` is mutable on purpose: shard workers apply batches
-asynchronously, so their ``shard_apply`` spans are appended *after* the
-ingest request was acknowledged.  The ring holds the live object, so an
-async span still shows up in a later ``/v1/traces`` scrape.  Forced
-traces instead flush the shard queues before responding, so their
-inline breakdown covers the full decode → admission → wal_append →
-shard_apply pipeline.
+A ``Trace`` is mutable on purpose.  Thread shards apply each chunk
+inline, so their ``shard_apply`` spans are in the trace before the ack;
+on the process backend, worker processes apply chunks asynchronously and
+the reader threads append ``shard_apply`` spans *after* the ingest
+request was acknowledged.  The ring holds the live object, so such a
+late span still shows up in a later ``/v1/traces`` scrape.  Forced
+traces flush the shards before responding, so their inline breakdown
+covers the full decode → admission → wal_append → shard_apply pipeline
+on either backend.
 """
 
 from __future__ import annotations
@@ -131,9 +133,9 @@ def parse_traceparent(header: Any) -> TraceContext | None:
 class Trace:
     """One sampled request: a context plus an append-only list of spans.
 
-    Thread-safe appends: shard workers add ``shard_apply`` spans from
-    their own threads while the handler thread may be finishing the
-    trace.  Span durations are wall-independent (``perf_counter``
+    Thread-safe appends: on the process backend, the shard reader
+    threads add ``shard_apply`` spans while the handler thread may be
+    finishing the trace.  Span durations are wall-independent (``perf_counter``
     deltas measured by the recorder), so there is no cross-thread clock
     to reconcile.
     """

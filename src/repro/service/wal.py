@@ -3,7 +3,7 @@
 Snapshots make the service's *query* state durable, but every token
 ingested since the last snapshot used to live only in shard memory -- a
 crash lost it silently.  The WAL closes that gap: each ingest chunk is
-appended to an on-disk log **before** it is handed to the shard queues, so
+appended to an on-disk log **before** it is handed to the shards, so
 after a crash the service state is reconstructible as
 
     latest checkpoint  +  replay of every logged chunk after it,

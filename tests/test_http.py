@@ -512,6 +512,8 @@ class TestStructuredErrors:
         "path",
         [
             "/v1/top-k?k=banana",
+            "/v1/top-k?k=-1",
+            "/v1/window/top-k?k=-1",
             "/v1/point",  # missing item
             "/v1/heavy-hitters?phi=banana",
             "/v1/heavy-hitters",  # missing phi

@@ -146,16 +146,14 @@ class TestShardedSummarizer:
 
         with ShardedSummarizer(ExplodesOnce, num_shards=1) as sharded:
             sharded.ingest(["bad"])
-            # Batches queued behind the failing one still apply.
-            sharded.ingest(["survivor"])
             with pytest.raises(RuntimeError, match="dropped"):
                 sharded.flush()
             # The failed batch is gone, but the service keeps working.
             sharded.ingest(["good", "good"])
             sharded.flush()
-            assert sharded.stream_length == 3.0
+            assert sharded.stream_length == 2.0
             counters = sharded.shard_summaries()[0].counters()
-            assert counters == {"survivor": 1.0, "good": 2.0}
+            assert counters == {"good": 2.0}
 
     def test_ingest_requires_started(self):
         sharded = ShardedSummarizer(ExactCounter, num_shards=2)
@@ -297,11 +295,11 @@ class TestSnapshotCopies:
         self, thread_flows, monkeypatch
     ):
         expected = [serialization.dump(shard) for shard in thread_flows.shard_summaries()]
-        workers = thread_flows._backend.workers
+        shards = thread_flows._backend.shards
         dump = serialization.dump
 
         def unlocked_dump(summary):
-            assert not any(worker.lock.locked() for worker in workers)
+            assert not any(shard.lock.locked() for shard in shards)
             return dump(summary)
 
         monkeypatch.setattr(serialization, "dump", unlocked_dump)
@@ -587,6 +585,16 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError, match="finite"):
                 client.ingest(["a"], [float("nan")])
             assert client.ping()
+
+    @pytest.mark.parametrize("query_type", ["top-k", "window-top-k"])
+    def test_negative_k_rejected_over_the_wire(self, running_server, query_type):
+        with ServiceClient(port=running_server.port) as client:
+            client.ingest(["a", "b", "b"])
+            client.snapshot()
+            with pytest.raises(ServiceError, match="k must be >= 0"):
+                client.call({"op": "query", "type": query_type, "k": -1})
+            empty = client.call({"op": "query", "type": query_type, "k": 0})
+            assert empty["top_k"] == []
 
     def test_bind_failure_does_not_leak_the_service(self, running_server):
         """serve() on a busy port must close the service it started."""

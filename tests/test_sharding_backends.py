@@ -1,12 +1,11 @@
-"""Shard-backend tests: worker failure paths and the process backend.
+"""Shard-backend tests: the inline thread backend and the process backend.
 
-Covers ISSUE 10's satellite regressions against the thread backend --
-producers must not hang on a dead worker's full queue, fan-out
-accounting must roll per delivered part, ``close()`` must not deadlock
-behind a stuck producer -- and the tentpole process backend: lifecycle,
-thread/process bit-identity, supervised restart after SIGKILL, rebuild
-from checkpoint + WAL replay, and the supervisor columns in
-``queue_stats()``.
+Covers the thread backend's inline contract -- parts are applied (and
+traced) before ``ingest()`` returns, no threads are started, a part
+that fails is dropped and accounted per shard -- and the process
+backend: lifecycle, thread/process bit-identity, supervised restart
+after SIGKILL, rebuild from checkpoint + WAL replay, and the supervisor
+columns in ``queue_stats()``.
 """
 
 import collections
@@ -19,20 +18,10 @@ import pytest
 
 from repro import serialization
 from repro.algorithms.space_saving import SpaceSaving
-from repro.service import sharding
 from repro.service.sharding import ShardedSummarizer, resolve_backend, shard_for
 from repro.streams.exact import ExactCounter
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-
-def _kill_worker_thread(sharded, shard_id):
-    """Stop one thread-backend worker as if it had died."""
-    worker = sharded._workers[shard_id]
-    worker.queue.put(sharding._STOP)
-    worker.join(timeout=10)
-    assert not worker.is_alive()
-    return worker
 
 
 class UnregisteredCounter(ExactCounter):
@@ -48,110 +37,82 @@ def _token_for_shard(shard_id, num_shards, prefix="tok"):
     raise AssertionError("no token found for shard")
 
 
-def _run_with_watchdog(fn, timeout=10.0):
-    """Run ``fn`` on a thread; fail the test if it never finishes.
+class SlowCounter(ExactCounter):
+    """An exact counter whose batches take long enough to race a reader."""
 
-    The pre-fix behaviour of the bugs below is an unbounded block, which
-    a plain test would report as a hang rather than a failure.
-    """
-    result = {}
+    def update_batch(self, items, weights=None):
+        time.sleep(0.05)
+        super().update_batch(items, weights)
 
-    def target():
+
+class TestInlineThreadShards:
+    """The thread backend applies every part in the caller's thread."""
+
+    def test_ingest_applies_before_returning(self):
+        with ShardedSummarizer(SlowCounter, num_shards=2) as sharded:
+            sharded.ingest([f"tok{i}" for i in range(50)])
+            # No flush(): the tokens are already on their shards.
+            stats = sharded.queue_stats()
+            assert sum(row["tokens_applied"] for row in stats) == 50
+            assert all(row["pending_batches"] == 0 for row in stats)
+            assert sharded.stream_length == 50.0
+
+    def test_start_starts_no_thread(self):
+        before = set(threading.enumerate())
+        sharded = ShardedSummarizer(ExactCounter, num_shards=4).start()
         try:
-            result["value"] = fn()
-        except BaseException as exc:  # surfaced to the test thread
-            result["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout=timeout)
-    assert not thread.is_alive(), "call did not return within the timeout"
-    if "error" in result:
-        raise result["error"]
-    return result.get("value")
-
-
-class TestDeadWorkerDoesNotHangProducers:
-    """Regression: ingest() used a plain blocking queue.put, so a worker
-    that died with a full queue stranded the producer forever (and then
-    close(), waiting on _active_producers, deadlocked behind it)."""
-
-    def test_ingest_raises_instead_of_hanging(self):
-        sharded = ShardedSummarizer(ExactCounter, num_shards=1, queue_depth=1)
-        sharded.start()
-        try:
-            worker = _kill_worker_thread(sharded, 0)
-            # Fill the dead worker's queue so a blocking put could never
-            # complete, then ingest: the timed put must notice the dead
-            # worker and raise rather than block.
-            worker.queue.put((["stuck"], None, None))
-
-            def attempt():
-                with pytest.raises(RuntimeError, match="shard 0.*not running"):
-                    sharded.ingest(["a"])
-
-            _run_with_watchdog(attempt)
+            # A set, not active_count(): another test's thread may exit
+            # meanwhile, but none may appear.
+            assert set(threading.enumerate()) <= before
+            assert sharded.workers_alive()
         finally:
-            _run_with_watchdog(sharded.close)
+            sharded.close()
+        assert not sharded.workers_alive()
 
-    def test_close_skips_dead_workers_full_queue(self):
-        sharded = ShardedSummarizer(ExactCounter, num_shards=1, queue_depth=1)
-        sharded.start()
-        worker = _kill_worker_thread(sharded, 0)
-        worker.queue.put((["stuck"], None, None))
-        # close() must not block putting its stop sentinel on the full
-        # queue of a worker that will never drain it.
-        _run_with_watchdog(sharded.close)
+    def test_sampled_trace_holds_its_spans_on_return(self):
+        from repro.service.tracing import Trace, TraceContext
 
-    def test_flush_raises_on_dead_worker_with_backlog(self):
-        sharded = ShardedSummarizer(ExactCounter, num_shards=1, queue_depth=4)
-        sharded.start()
-        try:
-            worker = _kill_worker_thread(sharded, 0)
-            worker.queue.put((["never applied"], None, None))
-
-            def attempt():
-                with pytest.raises(RuntimeError, match="died with"):
-                    sharded.flush()
-
-            _run_with_watchdog(attempt)
-        finally:
-            _run_with_watchdog(sharded.close)
+        trace = Trace(op="ingest", context=TraceContext.new())
+        tokens = [_token_for_shard(0, 2), _token_for_shard(1, 2)] * 3
+        with ShardedSummarizer(SlowCounter, num_shards=2) as sharded:
+            sharded.ingest(tokens, trace=trace)
+            spans = [
+                s for s in trace.as_dict()["spans"] if s["name"] == "shard_apply"
+            ]
+        assert sorted(span["shard"] for span in spans) == [0, 1]
+        assert sum(span["tokens"] for span in spans) == 6
 
 
 class TestFanOutAccounting:
     """Regression: tokens_enqueued/batches_enqueued were bumped once
-    after the whole fan-out loop, so a put that raised midway left the
+    after the whole fan-out loop, so a part that failed midway left the
     parts already delivered (and applied!) unaccounted, drifting the
     queue_stats()-backed metrics away from shard applied totals."""
 
     def test_partial_fanout_still_counts_delivered_parts(self):
-        sharded = ShardedSummarizer(ExactCounter, num_shards=2, queue_depth=4)
-        sharded.start()
-        try:
-            # Shard 1's queue is about to break; order the batch so shard
-            # 0's part is delivered first (dict order follows first
-            # appearance), then the put for shard 1's part raises.
-            def broken_put(*args, **kwargs):
-                raise RuntimeError("queue wiring broke")
+        shard0 = _token_for_shard(0, 2)
+        shard1 = _token_for_shard(1, 2)
 
-            sharded._workers[1].queue.put = broken_put
-            shard0 = _token_for_shard(0, 2)
-            shard1 = _token_for_shard(1, 2)
-            batch = [shard0, shard0, shard1]
-            with pytest.raises(RuntimeError, match="queue wiring broke"):
-                sharded.ingest(batch)
-            sharded.flush()
-            # Shard 0 received and applied its two tokens; the enqueue
-            # counters must agree with that, not read zero.
+        class FailsOnShard1(ExactCounter):
+            def update_batch(self, items, weights=None):
+                if shard1 in items:
+                    raise RuntimeError("shard 1 broke")
+                super().update_batch(items, weights)
+
+        with ShardedSummarizer(FailsOnShard1, num_shards=2) as sharded:
+            sharded.ingest([shard0, shard0, shard1])
+            # Shard 0 applied its two tokens; shard 1's part was dropped
+            # and its error waits for the next flush.
             assert sharded.tokens_enqueued == 2
             assert sharded.batches_enqueued == 1
             stats = {row["shard"]: row for row in sharded.queue_stats()}
             assert stats[0]["tokens_applied"] == 2
+            assert stats[0]["batches_failed"] == 0
             assert stats[1]["tokens_applied"] == 0
-        finally:
-            del sharded._workers[1].queue.put
-            sharded.close()
+            assert stats[1]["batches_failed"] == 1
+            with pytest.raises(RuntimeError, match="shard 1.*dropped"):
+                sharded.flush()
+            sharded.flush()
 
     def test_full_fanout_counts_every_part(self):
         with ShardedSummarizer(ExactCounter, num_shards=4) as sharded:
@@ -184,14 +145,6 @@ class TestBackendResolution:
     def test_backend_name_property(self):
         with ShardedSummarizer(ExactCounter, num_shards=1) as sharded:
             assert sharded.backend_name == "thread"
-
-    def test_workers_attribute_is_thread_only(self):
-        with ShardedSummarizer(
-            ExactCounter, num_shards=1, backend="process"
-        ) as sharded:
-            assert sharded.backend_name == "process"
-            with pytest.raises(RuntimeError, match="no in-interpreter workers"):
-                sharded._workers  # noqa: B018 - the access itself is the test
 
 
 class TestInjectShardError:

@@ -87,14 +87,18 @@ UNCARRIABLE_EXAMPLES = [
 
 
 def uncarriable_id(item):
-    """Test id for an uncarriable example: its repr, but fixed for ``object()``.
+    """Test id for an uncarriable example: its repr, but fixed for ``object()``
+    and sets.
 
-    The repr of a bare ``object()`` embeds its memory address, which would
-    give the test a new name on every run; this keeps the one name the suite
-    has always reported for that case.
+    The repr of a bare ``object()`` embeds its memory address, and a set's
+    element order follows the per-process string hash seed, either of which
+    would give the test a new name from run to run; this keeps the one name
+    the suite has always reported for each case.
     """
     if type(item) is object:
         return "<object object at 0x7efd0e3d3200>"
+    if type(item) is set:
+        return "{" + ", ".join(sorted(map(repr, item))) + "}"
     return repr(item)
 
 CARRIABLE_TOKENS = st.deferred(
