@@ -251,7 +251,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         num_counters=args.counters,
         num_shards=args.shards,
-        shard_backend=args.shard_backend,
         k=args.k,
         weighted=args.weighted,
         window_buckets=args.window_buckets,
@@ -313,10 +312,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         http_server.attach(server.service)
     host, port = server.server_address[:2]
     wal_note = f", wal={args.wal_dir} fsync={args.fsync}" if args.wal_dir else ""
-    backend_note = f" backend={server.service.sharded.backend_name}"
     print(
-        f"serving {args.algorithm} (m={args.counters}, shards={args.shards}"
-        f"{backend_note}, k={args.k}{wal_note}) on {host}:{port}",
+        f"serving {args.algorithm} (m={args.counters}, shards={args.shards}, "
+        f"k={args.k}{wal_note}) on {host}:{port}",
         flush=True,
     )
     try:
@@ -595,13 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=4, help="hash-partitioned shard summaries")
     serve.add_argument(
         "--shard-backend",
-        choices=["thread", "process"],
-        default=None,
-        help="shards as summaries in this interpreter, applied inline (default) "
-        "or as supervised worker processes (one per shard, "
-        "fed the framed chunk records over pipes -- scales ingest across "
-        "cores; dead workers restart from checkpoint + WAL replay); "
-        "unset falls back to $REPRO_SHARD_BACKEND, then thread",
+        choices=["thread"],
+        default="thread",
+        help="shards are summaries in this interpreter, each chunk applied "
+        "inline; thread is the only choice, accepted so existing launch "
+        "scripts keep working",
     )
     serve.add_argument("--k", type=int, default=10, help="tail parameter of snapshot guarantees")
     serve.add_argument(

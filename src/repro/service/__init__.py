@@ -14,8 +14,8 @@ error bounds.  The pipeline is::
     Snapshot / WindowAnswer: point, top-k, heavy-hitters queries
     server/client: NDJSON lines + v3 binary ingest frames, one TCP socket
 
-* :mod:`repro.service.sharding` -- hash-sharded ingestion (inline
-  thread shards, or supervised worker processes);
+* :mod:`repro.service.sharding` -- hash-sharded ingestion (shard
+  summaries behind per-shard locks, each chunk applied inline);
 * :mod:`repro.service.snapshots` -- versioned, persisted, queryable
   snapshots carrying the merged guarantee;
 * :mod:`repro.service.windows` -- sliding-window heavy hitters over

@@ -342,9 +342,9 @@ class ServiceClient:
         ``trace=True`` force-samples the request: the server records the
         per-stage pipeline spans (decode, admission, WAL append, shard
         apply, ...) and attaches the breakdown to the response, available
-        afterwards as :attr:`last_trace`.  A traced ingest waits for its
-        batches to apply (a shard-queue barrier), so reserve it for
-        debugging, not steady-state ingest.
+        afterwards as :attr:`last_trace`.  A forced trace records every
+        stage and grows the response, so reserve it for debugging, not
+        steady-state ingest.
 
         Durability: a WAL-backed server appends the chunk to its log
         *before* acking, so when this call returns under ``fsync=always``

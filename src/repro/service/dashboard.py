@@ -2,8 +2,8 @@
 
 Deliberately primitive — a single self-contained document (no build
 step, no bundler, no external assets) whose inline script polls the
-endpoints the plane already exposes: ``/metrics`` for throughput, queue
-depths, snapshot age and the error-budget ratio, and ``/v1/traces`` for
+endpoints the plane already exposes: ``/metrics`` for throughput,
+snapshot age and the error-budget ratio, and ``/v1/traces`` for
 the recent-trace table.  Everything a browser shows here is equally
 reachable with curl; the page is a convenience, not an API.
 
@@ -46,8 +46,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
     <div class="value" id="throughput">&ndash;</div></div>
   <div class="card"><div class="label">tokens total</div>
     <div class="value" id="tokens">&ndash;</div></div>
-  <div class="card"><div class="label">max queue depth</div>
-    <div class="value" id="queue">&ndash;</div></div>
   <div class="card"><div class="label">snapshot age</div>
     <div class="value" id="snapage">&ndash;</div></div>
   <div class="card"><div class="label">error budget ratio</div>
@@ -100,10 +98,6 @@ async function poll() {
     }
     lastTokens = tokens; lastPoll = now;
     document.getElementById("tokens").textContent = fmt(tokens, 0);
-    const depths = find(samples, "repro_shard_queue_depth")
-      .map(function (s) { return s.value; });
-    document.getElementById("queue").textContent =
-      depths.length ? fmt(Math.max.apply(null, depths), 0) : "\\u2013";
     const age = find(samples, "repro_snapshot_age_seconds")[0];
     document.getElementById("snapage").textContent =
       age ? fmt(age.value, 1) + " s" : "never";

@@ -8,7 +8,7 @@ protocol stays the ingest fast path; this plane is for everything an
   itself is serving, even while recovery replay is still running.
 - ``GET /readyz`` -- readiness.  200 only when the attached service
   passes every check in :meth:`HeavyHittersService.readiness` (started,
-  not closed, shards able to apply, WAL writable); 503 with the failing
+  not closed, WAL writable); 503 with the failing
   checks otherwise, and 503 ``recovering`` before a service is attached
   at all.  The distinction is what lets an orchestrator keep the process
   alive through a long WAL replay without routing traffic to it.

@@ -15,10 +15,10 @@ Design constraints, in order:
    uninstrumented throughput (gated by ``benchmarks/bench_http.py
    --check``), so the write-side operations are one lock acquisition and
    a float add.  Values that are already tracked by the service
-   (queue depths, WAL byte counts, snapshot versions) are *not* mirrored
+   (shard counters, WAL byte counts, snapshot versions) are *not* mirrored
    on the hot path at all -- they are registered as **callbacks** read
    once per scrape (:meth:`MetricsRegistry.register_callback`).
-2. **Thread safety.**  Shard workers, connection threads, the WAL
+2. **Thread safety.**  Connection threads, snapshot tickers, the WAL
    flusher and HTTP scrapes all touch the registry concurrently; every
    instrument guards its cells with its own lock, and ``render()`` takes
    consistent per-instrument snapshots.
@@ -401,7 +401,7 @@ CallbackFn = Callable[[], Iterable[tuple[dict[str, str] | None, float]]]
 class _Callback:
     """A lazily-evaluated family: sampled only when ``render()`` runs.
 
-    The right shape for values the service already tracks (queue depths,
+    The right shape for values the service already tracks (shard counters,
     WAL counters, snapshot age): zero hot-path cost, always-current at
     scrape time.  A raising callback is reported through the registry's
     ``repro_metrics_scrape_errors_total`` counter instead of breaking the

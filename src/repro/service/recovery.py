@@ -276,59 +276,6 @@ def recover(
     )
 
 
-def rebuild_shard(
-    wal_dir: str | Path,
-    make_estimator: EstimatorFactory,
-    shard_id: int,
-    num_shards: int,
-) -> FrequencyEstimator:
-    """Rebuild one shard's summary: its checkpoint payload + WAL replay.
-
-    The single-shard slice of :func:`recover`, used by the process shard
-    backend's supervisor when a worker process dies: shard placement is
-    deterministic (:func:`~repro.service.sharding.partition_batch` routes
-    with the same fingerprint hash on every replay), so replaying the log
-    and keeping only shard ``shard_id``'s sub-chunks reconstructs exactly
-    the summary the dead worker held for every chunk it was ever sent --
-    applied before the crash or still sitting in its pipe.
-
-    The caller must ensure no chunk is mid-flight between WAL append and
-    shard dispatch while this runs (the service holds its ingest lock),
-    otherwise that chunk could be replayed here *and* delivered to the
-    restarted worker.
-    """
-    wal_dir = Path(wal_dir)
-    if not 0 <= shard_id < num_shards:
-        raise ValueError(f"shard_id must be in [0, {num_shards}), got {shard_id}")
-    estimator: FrequencyEstimator | None = None
-    resumed_from: WalPosition | None = None
-    checkpoint = load_checkpoint(wal_dir)
-    if checkpoint is not None:
-        payload, path = checkpoint
-        shard_payloads = payload["shards"]
-        if len(shard_payloads) != num_shards:
-            raise RecoveryError(
-                f"{path.name} holds {len(shard_payloads)} shard payloads but the "
-                f"service is configured for {num_shards} shards"
-            )
-        try:
-            estimator = serialization.load(shard_payloads[shard_id])
-        except serialization.SerializationError as error:
-            raise WalError(f"corrupt checkpoint {path.name}: {error}") from error
-        resumed_from = WalPosition.from_dict(payload.get("wal", {}))
-    if estimator is None:
-        estimator = make_estimator()
-    codec = TokenCodec()
-    for record in iter_wal(wal_dir, start=resumed_from):
-        if record.frame_type != FRAME_CHUNK:
-            continue
-        chunk = decode_chunk_record(record, codec)
-        part = partition_batch(chunk, num_shards).get(shard_id)
-        if part is not None:
-            estimator.update_batch(part[0], part[1])
-    return estimator
-
-
 def resume_service(
     config: "ServiceConfig", wal_dir: str | Path | None = None
 ) -> tuple["HeavyHittersService", RecoveryResult | None]:

@@ -86,11 +86,7 @@ from repro.service.audit import (
 )
 from repro.service.logging import get_logger
 from repro.service.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from repro.service.sharding import (
-    DEFAULT_QUEUE_DEPTH,
-    ShardedSummarizer,
-    resolve_backend,
-)
+from repro.service.sharding import ShardedSummarizer
 from repro.service.snapshots import Snapshot, SnapshotManager
 from repro.service.tracing import (
     DEFAULT_RING_SIZE,
@@ -151,15 +147,6 @@ class ServiceConfig:
     num_shards: int = 4
     k: int = 10
     weighted: bool = False
-    #: Process backend only: chunks in flight to each shard worker process
-    #: before producers block.  Thread shards apply inline and queue nothing.
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
-    #: Shard backend: ``"thread"`` (shards as summaries in this
-    #: interpreter, each chunk applied inline before the ack), ``"process"``
-    #: (each shard a supervised ``multiprocessing`` worker fed the
-    #: CRC-framed chunk records over a pipe), or ``None`` to resolve from
-    #: ``REPRO_SHARD_BACKEND`` (default thread).
-    shard_backend: str | None = None
     window_buckets: int = 0
     snapshot_interval: float = 0.0
     snapshot_dir: str | None = None
@@ -273,18 +260,8 @@ class HeavyHittersService:
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        # Backend seam: thread workers by default; process workers put
-        # each shard on its own core, supervised by the parent.  The
-        # rebuild hook closes over self so a worker that dies under a
-        # WAL-backed service is restarted from checkpoint + WAL replay
-        # (self.wal is constructed below, before any worker can die).
-        backend = resolve_backend(config.shard_backend)
         self.sharded = ShardedSummarizer(
-            config.make_estimator,
-            num_shards=config.num_shards,
-            queue_depth=config.queue_depth,
-            backend=backend,
-            rebuild_shard=self._rebuild_shard if backend == "process" else None,
+            config.make_estimator, num_shards=config.num_shards
         )
         self.snapshots = SnapshotManager(
             self.sharded,
@@ -301,8 +278,8 @@ class HeavyHittersService:
             )
         # The ingest codec doubles as the admission boundary: interning
         # validates each new vocabulary entry once (wire format v2).  The
-        # lock serialises interning across connection threads; the shard
-        # workers only *read* the codec, which is safe concurrently.
+        # lock serialises interning across connection threads; the shards
+        # only *read* the codec, which is safe concurrently.
         self._codec = TokenCodec()
         self._decode_memo: dict[str, Item] = {}
         self._ingest_lock = threading.Lock()
@@ -333,7 +310,7 @@ class HeavyHittersService:
         # Observability: the registry exists before the WAL so the WAL's
         # latency timers can be wired in at construction.  Hot-path writes
         # are limited to per-chunk counter bumps; everything the service
-        # already tracks (queue depths, WAL byte counts, snapshot age) is
+        # already tracks (shard counters, WAL byte counts, snapshot age) is
         # exposed through scrape-time callbacks at zero ingest cost.
         self.metrics: MetricsRegistry | None = None
         self._m_tokens = self._m_batches = self._m_batch_size = None
@@ -421,44 +398,17 @@ class HeavyHittersService:
             return sample
 
         registry.register_callback(
-            "repro_shard_queue_depth",
-            "Chunks in flight to each shard worker process (always 0 on the "
-            "thread backend, which applies inline).",
-            "gauge",
-            shard_samples("pending_batches"),
-        )
-        registry.register_callback(
             "repro_shard_tokens_applied_total",
-            "Token weight each shard worker has applied to its summary.",
+            "Token weight each shard has applied to its summary.",
             "counter",
             shard_samples("tokens_applied"),
         )
         registry.register_callback(
             "repro_shard_batches_applied_total",
-            "Batches each shard worker has applied to its summary.",
+            "Batches each shard has applied to its summary.",
             "counter",
             shard_samples("batches_applied"),
         )
-        if self.sharded.backend_name == "process":
-            # Supervisor columns only the process backend maintains.
-            registry.register_callback(
-                "repro_shard_restarts_total",
-                "Times each shard's worker process died and was restarted.",
-                "counter",
-                shard_samples("restarts"),
-            )
-            registry.register_callback(
-                "repro_shard_worker_up",
-                "1 while the shard's worker process is running, else 0.",
-                "gauge",
-                shard_samples("alive"),
-            )
-            registry.register_callback(
-                "repro_shard_process_rss_bytes",
-                "Resident set size of each shard's worker process.",
-                "gauge",
-                shard_samples("rss_bytes"),
-            )
         registry.register_callback(
             "repro_stream_weight",
             "Total token weight enqueued to the shards since start.",
@@ -650,7 +600,6 @@ class HeavyHittersService:
                         "weighted": str(self.config.weighted).lower(),
                         "num_counters": str(self.config.num_counters),
                         "num_shards": str(self.config.num_shards),
-                        "shard_backend": self.sharded.backend_name,
                         "protocol": str(self.protocol),
                         "wal": "on" if self.wal is not None else "off",
                         "fsync": self.config.fsync,
@@ -697,15 +646,14 @@ class HeavyHittersService:
 
         Ready means the service can take traffic *now*: it has been
         started (recovery replay, which runs before ``start()``, shows up
-        as not-ready), it has not been closed, every shard can apply chunks
-        (always, on the thread backend; under the process backend, every
-        worker process is alive), and the WAL (when configured) is still
-        accepting appends.
+        as not-ready), it has not been closed, and the WAL (when
+        configured) is still accepting appends.  Thread shards apply
+        inline, so they are ready exactly when the service is started and
+        not closed.
         """
         return {
             "started": self._started,
             "not_closed": not self._closed,
-            "shards_draining": self.sharded.workers_alive(),
             "wal_writable": self.wal is None or not self.wal.closed,
         }
 
@@ -714,7 +662,7 @@ class HeavyHittersService:
 
         ``result`` comes from :func:`repro.service.recovery.recover` /
         :func:`~repro.service.recovery.resume_service`: the per-shard
-        summaries are swapped into the shard workers, the window ring (if
+        summaries are swapped into the shards, the window ring (if
         any) is rebuilt, and checkpoint numbering continues from the
         recovered version.
         """
@@ -732,34 +680,6 @@ class HeavyHittersService:
                 "accuracy auditor disabled: recovered state predates the "
                 "exact mirror",
                 extra={"recovered_weight": result.stream_length},
-            )
-
-    def _rebuild_shard(self, shard_id: int) -> FrequencyEstimator | None:
-        """Rebuild one shard's summary for a restarting worker process.
-
-        Called by the process backend's supervisor when a shard worker
-        dies.  With a WAL the replacement's summary is rebuilt from the
-        latest checkpoint plus a replay of that shard's WAL records
-        (placement via ``shard_for`` is deterministic, so the replay
-        routes exactly the records the dead worker owned).  Runs under
-        the ingest lock: no append+dispatch pair is in flight during the
-        replay, so every chunk the dead worker was ever sent -- applied
-        or still in its pipe -- is on disk and replayed, and nothing is
-        double-applied.  Without a WAL there is nothing to replay;
-        returning ``None`` restarts the worker with an empty summary
-        (the documented durability of a WAL-less service).
-        """
-        if self.wal is None:
-            return None
-        from repro.service.recovery import rebuild_shard
-
-        with self._ingest_lock:
-            self.wal.sync()
-            return rebuild_shard(
-                self.wal.directory,
-                self.config.make_estimator,
-                shard_id,
-                self.config.num_shards,
             )
 
     # ------------------------------------------------------------------ #
@@ -974,8 +894,8 @@ class HeavyHittersService:
 
         ``record`` is the one CRC-framed serialisation of ``chunk`` --
         built once per request (by the server on the JSON path, by the
-        *client* on the binary path) and shared by every consumer, so the
-        chunk is never encoded twice.
+        *client* on the binary path) and appended to the WAL verbatim, so
+        the chunk is never encoded twice.
 
         Durability boundary: the record hits the log (fsync per policy)
         before any shard sees it, and the ack only goes out after the
@@ -996,10 +916,7 @@ class HeavyHittersService:
             now = time.perf_counter()
             trace.add_span("wal_append", now - mark)
             mark = now
-        # The same framed bytes just appended to the WAL ride the worker
-        # pipes under the process backend -- client -> WAL -> child with
-        # no re-serialisation; the thread backend ignores ``record``.
-        ingested = self.sharded.ingest(chunk, trace=trace, record=record)
+        ingested = self.sharded.ingest(chunk, trace=trace)
         if trace is not None:
             trace.add_span("shard_enqueue", time.perf_counter() - mark)
         if self.windowed is not None:
@@ -1027,18 +944,8 @@ class HeavyHittersService:
         ingested: float,
         wal_position: WalPosition | None,
         protocol: str,
-        trace: Trace | None,
     ) -> dict[str, Any]:
-        """The shared ingest epilogue: forced-trace barrier, metrics, ack."""
-        if trace is not None and trace.forced:
-            # Barrier for forced traces only: on the process backend,
-            # draining the worker pipes lets the response breakdown cover
-            # the full decode -> admission -> wal_append -> shard_apply
-            # pipeline (thread shards applied inline already, so this is a
-            # no-op there).  Ambient samples on the process backend stay
-            # asynchronous; their shard_apply spans land in the ring after
-            # the ack.
-            self.sharded.flush()
+        """The shared ingest epilogue: metrics and the ack."""
         if self._m_tokens is not None:
             # One counter bump per *chunk* (not per token), after the ack
             # is decided: scraped totals always equal acked totals.
@@ -1101,7 +1008,7 @@ class HeavyHittersService:
                 )
         if self.wal is None:
             ingested = self._apply_chunk_unlogged(chunk, trace)
-        return self._ingest_response(chunk, ingested, wal_position, "json", trace)
+        return self._ingest_response(chunk, ingested, wal_position, "json")
 
     def _op_ingest_binary(
         self, request: dict[str, Any], trace: Trace | None = None
@@ -1147,7 +1054,7 @@ class HeavyHittersService:
                 )
         if self.wal is None:
             ingested = self._apply_chunk_unlogged(chunk, trace)
-        return self._ingest_response(chunk, ingested, wal_position, "binary", trace)
+        return self._ingest_response(chunk, ingested, wal_position, "binary")
 
     def _op_snapshot(
         self, request: dict[str, Any], trace: Trace | None = None
@@ -1593,7 +1500,7 @@ def serve(
     try:
         return ServiceServer(service, host, port)
     except BaseException:
-        # Bind failures (port in use) must not leak the started shard
-        # workers and snapshot ticker.
+        # Bind failures (port in use) must not leak the started snapshot
+        # and checkpoint tickers.
         service.close()
         raise

@@ -6,35 +6,27 @@ heavy-hitters service can *shard* its ingest path -- hash-partition the
 token stream across ``N`` shards, let each shard maintain its own
 summary, and merge on demand -- without giving up certified answers.
 
-:class:`ShardedSummarizer` implements the ingest side behind a
-**backend seam** (:func:`resolve_backend`):
+:class:`ShardedSummarizer` keeps each shard as a summary behind a lock
+in this interpreter.  :meth:`ShardedSummarizer.ingest` partitions the
+chunk and applies each part under its shard's lock, in the caller's
+thread, through the batched fast path
+(:meth:`~repro.algorithms.base.FrequencyEstimator.update_batch`) before
+it returns.  There are no worker threads or queues: summary updates in
+Python hold the GIL, so they would buy no parallelism, and the service
+already serialises ingest under its ingest lock.  ``num_shards`` is a
+placement and merge concept.  This ``thread`` backend is the only one
+the service runs.
 
-``thread`` (default)
-    Each shard is a summary behind a lock in this interpreter.
-    :meth:`ShardedSummarizer.ingest` partitions the chunk and applies
-    each part under its shard's lock, in the caller's thread, through
-    the batched fast path
-    (:meth:`~repro.algorithms.base.FrequencyEstimator.update_batch`)
-    before it returns.  There are no worker threads or queues: summary
-    updates in Python hold the GIL, so they would buy no parallelism,
-    and the service already serialises ingest under its ingest lock.
-    ``num_shards`` is a placement and merge concept here.
-
-``process``
-    Each shard is a ``multiprocessing`` worker process fed over a pipe
-    carrying the CRC-framed chunk records of
-    :func:`repro.service.wal.encode_chunk_record` -- the same bytes the
-    WAL and the binary wire protocol use, so a client-encoded chunk
-    travels client -> WAL -> child process without re-serialisation.
-    Every worker receives the full record and applies only its own
-    sub-chunk (placement via the same vectorised ``shard_array`` as the
-    thread backend, so summaries are bit-identical between backends).
-    Workers answer snapshot/checkpoint requests with
-    :func:`repro.serialization.dump` payloads over the result channel and
-    are supervised by the parent: a dead worker flips
-    :meth:`workers_alive` (readiness), is restarted, and -- when the
-    owning service supplies a ``rebuild_shard`` hook -- rebuilds its
-    summary from the latest checkpoint plus WAL replay.
+An explicit ``backend="process"`` instead puts each shard in a
+``multiprocessing`` worker process fed over a pipe carrying the
+CRC-framed chunk records of :func:`repro.service.wal.encode_chunk_record`.
+Every worker receives the full record and applies only its own sub-chunk
+(placement via the same vectorised ``shard_array``, so summaries are
+bit-identical between backends), and answers snapshot/checkpoint
+requests with :func:`repro.serialization.dump` payloads.  A worker that
+dies is restarted with an empty summary and its error surfaces on the
+next call.  It is kept only as a measured comparison row: it loses to
+one thread shard on every benchmark so far.
 
 Tokens are routed with :func:`shard_for` (a stable fingerprint modulo the
 shard count, the same placement rule :mod:`repro.distributed.partition`
@@ -93,7 +85,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.service.tracing import Trace
 
 EstimatorFactory = Callable[[], FrequencyEstimator]
-RebuildHook = Callable[[int], "FrequencyEstimator | None"]
 
 #: Default bound on the chunks in flight to each process-backend worker.
 #: Small enough that a stalled worker exerts backpressure on producers
@@ -113,21 +104,6 @@ _LIVENESS_POLL_SECONDS = 0.05
 #: How long close() waits for a worker process to drain and exit before
 #: escalating to terminate().
 _CLOSE_JOIN_SECONDS = 10.0
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Resolve a shard backend name (``None`` = env default).
-
-    ``None`` falls back to the ``REPRO_SHARD_BACKEND`` environment
-    variable (the hook CI uses to run the whole service tier against the
-    process backend), then to ``"thread"``.
-    """
-    resolved = name or os.environ.get("REPRO_SHARD_BACKEND") or "thread"
-    if resolved not in BACKENDS:
-        raise ValueError(
-            f"unknown shard backend {resolved!r}; expected one of {BACKENDS}"
-        )
-    return resolved
 
 
 #: One shard's batch: a plain ``(items, weights)`` pair or an encoded
@@ -599,7 +575,6 @@ class _ProcessShardBackend:
         make_estimator: EstimatorFactory,
         num_shards: int,
         queue_depth: int,
-        rebuild_shard: RebuildHook | None = None,
     ) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
@@ -610,7 +585,6 @@ class _ProcessShardBackend:
         self.make_estimator = make_estimator
         self.num_shards = num_shards
         self.queue_depth = queue_depth
-        self.rebuild_shard = rebuild_shard
         self.slots = [_ProcessShardSlot(shard_id) for shard_id in range(num_shards)]
         self._restored: list[FrequencyEstimator] | None = None
         # Producer-side codec for plain-sequence ingest (the server hands
@@ -825,13 +799,10 @@ class _ProcessShardBackend:
         thread.start()
 
     def _restart(self, slot: _ProcessShardSlot, generation: int) -> None:
-        """Supervisor path: respawn a dead worker with rebuilt state.
+        """Supervisor path: respawn a dead worker with an empty summary.
 
-        The rebuild hook (when the owning service is WAL-backed) replays
-        the latest checkpoint plus the dead shard's WAL records under the
-        service's ingest lock, so every chunk the old worker was ever
-        sent -- applied or still in its pipe when it died -- is
-        reconstructed before the replacement accepts new traffic.
+        The tokens the old worker held are gone; the death was recorded
+        as the shard's error and surfaces on the next call.
         """
         with slot.state:
             if self._closing or slot.generation != generation:
@@ -839,22 +810,9 @@ class _ProcessShardBackend:
         process = slot.process
         if process is not None:
             process.join(timeout=_CLOSE_JOIN_SECONDS)
-        estimator: FrequencyEstimator | None = None
-        if self.rebuild_shard is not None:
-            try:
-                estimator = self.rebuild_shard(slot.shard_id)
-            # repro-lint: boundary supervisor thread: a failed rebuild falls back to an empty summary rather than leaving the shard down
-            except Exception as exc:
-                with slot.state:
-                    slot.error = (
-                        f"restart rebuild failed ({type(exc).__name__}: {exc}); "
-                        "worker restarted with an empty summary"
-                    )
-        if estimator is None:
-            estimator = self.make_estimator()
         if self._closing:
             return
-        self._spawn(slot, estimator, restart=True)
+        self._spawn(slot, self.make_estimator(), restart=True)
 
     # -- ingest -------------------------------------------------------- #
 
@@ -889,7 +847,7 @@ class _ProcessShardBackend:
         for slot in self.slots:
             try:
                 self._send_chunk(slot, record, trace)
-            # repro-lint: boundary best-effort broadcast: live shards still get their parts; a WAL rebuild recovers the dead one
+            # repro-lint: boundary best-effort broadcast: live shards still get their parts; the dead one's error is raised below
             except RuntimeError as exc:
                 if first_error is None:
                     first_error = exc
@@ -1104,15 +1062,8 @@ class ShardedSummarizer:
         process; producers block (backpressure) when a worker's pipe is
         full.  The thread backend applies inline and has no queue.
     backend:
-        ``"thread"`` (default), ``"process"``, or ``None`` to resolve via
-        the ``REPRO_SHARD_BACKEND`` environment variable -- see
-        :func:`resolve_backend` and the module docstring.
-    rebuild_shard:
-        Process backend only: called by the supervisor with a shard id
-        when that shard's worker process dies, returning the summary the
-        replacement should start from (the service wires this to a
-        checkpoint + WAL replay).  ``None`` restarts dead workers with an
-        empty summary.
+        ``"thread"`` (default) or ``"process"`` -- see the module
+        docstring.
 
     Examples
     --------
@@ -1129,21 +1080,21 @@ class ShardedSummarizer:
         make_estimator: EstimatorFactory,
         num_shards: int,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        backend: str | None = "thread",
-        rebuild_shard: RebuildHook | None = None,
+        backend: str = "thread",
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown shard backend {backend!r}; expected one of {BACKENDS}"
+            )
         self.make_estimator = make_estimator
         self.num_shards = num_shards
-        backend_name = resolve_backend(backend)
         self._backend: _ThreadShardBackend | _ProcessShardBackend
-        if backend_name == "process":
-            self._backend = _ProcessShardBackend(
-                make_estimator, num_shards, queue_depth, rebuild_shard
-            )
+        if backend == "process":
+            self._backend = _ProcessShardBackend(make_estimator, num_shards, queue_depth)
         else:
             self._backend = _ThreadShardBackend(make_estimator, num_shards)
         self._started = False
@@ -1214,13 +1165,9 @@ class ShardedSummarizer:
     def workers_alive(self) -> bool:
         """True while every shard can apply chunks.
 
-        The readiness probe's "shards draining" check.  Thread shards
-        apply inline, so this is true between :meth:`start` and
-        :meth:`close`.  Under the process backend a dead worker's pipe
-        backs up until producers error out, so the service must stop
-        advertising itself as ready; this also covers the supervisor's
-        restart window: a shard whose worker process died reads as
-        not-alive until its replacement is running.
+        Thread shards apply inline, so this is true between :meth:`start`
+        and :meth:`close`.  Under the process backend a shard whose worker
+        process died reads as not-alive until its replacement is running.
         """
         with self._state:
             if not self._started or self._closed:
@@ -1322,9 +1269,7 @@ class ShardedSummarizer:
         Thread shards apply inline, so there is nothing to wait for; this
         only raises a recorded shard error.  On the process backend it
         waits for every worker, and raises ``RuntimeError`` when a worker
-        process died with chunks outstanding -- those can never be applied
-        by it (under a WAL the supervisor rebuilds them into the
-        replacement worker from the log).
+        process died with chunks outstanding -- those are lost with it.
         """
         self._backend.flush()
         self._raise_pending_errors()

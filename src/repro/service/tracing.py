@@ -25,15 +25,11 @@ hatch (``?trace=1`` over HTTP, ``trace={"force": true}`` over NDJSON)
 for interactive debugging.  Sampled traces land in a bounded ring
 buffer (old traces fall off the back) exported via ``GET /v1/traces``.
 
-A ``Trace`` is mutable on purpose.  Thread shards apply each chunk
-inline, so their ``shard_apply`` spans are in the trace before the ack;
-on the process backend, worker processes apply chunks asynchronously and
-the reader threads append ``shard_apply`` spans *after* the ingest
-request was acknowledged.  The ring holds the live object, so such a
-late span still shows up in a later ``/v1/traces`` scrape.  Forced
-traces flush the shards before responding, so their inline breakdown
-covers the full decode → admission → wal_append → shard_apply pipeline
-on either backend.
+A ``Trace`` is mutable on purpose: spans are appended as each stage
+finishes and the ring holds the live object.  Shards apply each chunk
+inline, so a sampled ingest's ``shard_apply`` spans are in the trace
+before the ack, and a forced trace's inline breakdown covers the full
+decode → admission → wal_append → shard_apply pipeline.
 """
 
 from __future__ import annotations
@@ -133,11 +129,10 @@ def parse_traceparent(header: Any) -> TraceContext | None:
 class Trace:
     """One sampled request: a context plus an append-only list of spans.
 
-    Thread-safe appends: on the process backend, the shard reader
-    threads add ``shard_apply`` spans while the handler thread may be
-    finishing the trace.  Span durations are wall-independent (``perf_counter``
-    deltas measured by the recorder), so there is no cross-thread clock
-    to reconcile.
+    Thread-safe appends: a ``/v1/traces`` scrape may export the trace
+    while its handler thread is still adding spans.  Span durations are
+    wall-independent (``perf_counter`` deltas measured by the recorder),
+    so there is no cross-thread clock to reconcile.
     """
 
     __slots__ = (

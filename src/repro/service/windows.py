@@ -205,17 +205,19 @@ class WindowedSummarizer:
         """Close the current bucket and open ``steps`` new ones.
 
         Appending to the full ring drops the oldest bucket -- that is the
-        expiry mechanism.  Returns the new current bucket id.
+        expiry mechanism.  Only the newest ``num_buckets`` of the opened
+        buckets can survive, so at most that many are built: the cost is
+        bounded by the ring, not by ``steps``.  Returns the new current
+        bucket id.
         """
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
         with self._lock:
-            next_id = self._buckets[-1].bucket_id
-            for _ in range(steps):
-                next_id += 1
-                self._buckets.append(_Bucket(next_id, self.make_estimator()))
+            newest = self._buckets[-1].bucket_id + steps
+            for bucket_id in range(newest - min(steps, self.num_buckets) + 1, newest + 1):
+                self._buckets.append(_Bucket(bucket_id, self.make_estimator()))
             self.advances_total += steps
-            return next_id
+            return newest
 
     # ------------------------------------------------------------------ #
     # Durability hooks (checkpoint / crash recovery)

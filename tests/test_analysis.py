@@ -344,7 +344,6 @@ class TestWitnessStress:
                 num_counters=128,
                 num_shards=4,
                 k=5,
-                queue_depth=4,  # small queues force real backpressure
                 wal_dir=str(tmp_path / "wal"),
                 fsync="off",
                 wal_segment_bytes=4_096,  # rotate under load

@@ -41,6 +41,15 @@ class TestParser:
             )
 
 
+class TestServeParser:
+    def test_shard_backend_accepts_only_thread(self):
+        args = build_parser().parse_args(["serve", "--shard-backend", "thread"])
+        assert args.shard_backend == "thread"
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--shard-backend", "process"])
+        assert excinfo.value.code == 2
+
+
 class TestGenerate:
     @pytest.mark.parametrize("workload", ["zipf", "uniform", "query-log"])
     def test_writes_requested_number_of_tokens(self, tmp_path, workload, capsys):

@@ -80,7 +80,6 @@ class TestProbes:
         assert checks == {
             "started": True,
             "not_closed": True,
-            "shards_draining": True,
             "wal_writable": True,
         }
 

@@ -2,10 +2,11 @@
 
 Covers the thread backend's inline contract -- parts are applied (and
 traced) before ``ingest()`` returns, no threads are started, a part
-that fails is dropped and accounted per shard -- and the process
-backend: lifecycle, thread/process bit-identity, supervised restart
-after SIGKILL, rebuild from checkpoint + WAL replay, and the supervisor
-columns in ``queue_stats()``.
+that fails is dropped and accounted per shard -- that the service can
+only run on it, and the process backend reached through an explicit
+``backend="process"``: lifecycle, thread/process bit-identity,
+supervised restart (empty) after SIGKILL, and the supervisor columns in
+``queue_stats()``.
 """
 
 import collections
@@ -18,7 +19,8 @@ import pytest
 
 from repro import serialization
 from repro.algorithms.space_saving import SpaceSaving
-from repro.service.sharding import ShardedSummarizer, resolve_backend, shard_for
+from repro.service.server import HeavyHittersService, ServiceConfig
+from repro.service.sharding import ShardedSummarizer, shard_for
 from repro.streams.exact import ExactCounter
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -126,21 +128,23 @@ class TestFanOutAccounting:
 
 
 class TestBackendResolution:
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
-        assert resolve_backend(None) == "thread"
-        assert resolve_backend("thread") == "thread"
-        assert resolve_backend("process") == "process"
+    def test_default_is_thread(self):
+        assert ShardedSummarizer(ExactCounter, num_shards=1).backend_name == "thread"
 
-    def test_env_fallback(self, monkeypatch):
+    def test_service_ignores_backend_env(self, monkeypatch):
+        # No setting outside the code may put the service on processes.
         monkeypatch.setenv("REPRO_SHARD_BACKEND", "process")
-        assert resolve_backend(None) == "process"
-        # An explicit name always wins over the environment.
-        assert resolve_backend("thread") == "thread"
+        service = HeavyHittersService(ServiceConfig())
+        try:
+            assert service.sharded.backend_name == "thread"
+        finally:
+            service.close()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown shard backend"):
-            resolve_backend("greenlet")
+            ShardedSummarizer(ExactCounter, num_shards=1, backend="greenlet")
+        with pytest.raises(ValueError, match="unknown shard backend"):
+            ShardedSummarizer(ExactCounter, num_shards=1, backend=None)
 
     def test_backend_name_property(self):
         with ShardedSummarizer(ExactCounter, num_shards=1) as sharded:
@@ -334,8 +338,7 @@ class TestProcessSupervision:
             generation = slot.generation
             os.kill(slot.pid(), signal.SIGKILL)
             # The supervisor restarts the worker (a new generation) and
-            # readiness returns; without a rebuild hook the replacement
-            # starts empty.
+            # readiness returns; the replacement starts empty.
             assert _wait_for(
                 lambda: slot.generation > generation and sharded.workers_alive()
             )
@@ -414,48 +417,3 @@ os._exit(0)                  # skip further cleanup: survivors stay leaked
         for pid in leaked:  # clean up before failing the assertion
             os.kill(pid, signal.SIGKILL)
         assert not leaked, f"worker processes survived interpreter exit: {leaked}"
-
-    def test_restart_uses_rebuild_hook(self):
-        rebuilt_shards = []
-
-        def rebuild(shard_id):
-            rebuilt_shards.append(shard_id)
-            primed = ExactCounter()
-            primed.update("rebuilt", 42.0)
-            return primed
-
-        with ShardedSummarizer(
-            ExactCounter, num_shards=2, backend="process", rebuild_shard=rebuild
-        ) as sharded:
-            sharded.ingest(["a", "b"])
-            sharded.flush()
-            slot = sharded._backend.slots[1]
-            generation = slot.generation
-            os.kill(slot.pid(), signal.SIGKILL)
-            assert _wait_for(
-                lambda: slot.generation > generation and sharded.workers_alive()
-            )
-            assert rebuilt_shards == [1]
-            copies = sharded.snapshot_summaries()
-            assert copies[1].estimate("rebuilt") == 42.0
-
-    def test_failed_rebuild_falls_back_to_empty(self):
-        def rebuild(shard_id):
-            raise OSError("checkpoint unreadable")
-
-        with ShardedSummarizer(
-            ExactCounter, num_shards=1, backend="process", rebuild_shard=rebuild
-        ) as sharded:
-            sharded.ingest(["a"])
-            sharded.flush()
-            slot = sharded._backend.slots[0]
-            generation = slot.generation
-            os.kill(slot.pid(), signal.SIGKILL)
-            assert _wait_for(
-                lambda: slot.generation > generation and sharded.workers_alive()
-            )
-            with pytest.raises(RuntimeError, match="rebuild failed"):
-                sharded.raise_pending_errors()
-            sharded.ingest(["b"])
-            sharded.flush()
-            assert sharded.stream_length == 1.0

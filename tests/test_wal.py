@@ -436,6 +436,26 @@ class TestCheckpointRecovery:
         assert answer.estimate("old") == 0.0  # bucket 0 expired from the ring
         service.close()
 
+    def test_recovery_replays_a_huge_advance_in_ring_time(self, tmp_path):
+        config, service = self._service(tmp_path, window_buckets=3)
+        service.handle({"op": "ingest", "items": ["old"] * 6})
+        response = service.handle({"op": "advance-window", "steps": 10**6})
+        assert response == {"ok": True, "bucket": 10**6}
+        service.close()
+        built = []
+
+        def counting():
+            built.append(1)
+            return SpaceSaving(num_counters=256)
+
+        result = recover(tmp_path / "wal", make_estimator=counting)
+        # One summary per shard, the window's first bucket, then at most
+        # one bucket per ring slot for the whole advance.
+        assert len(built) <= config.num_shards + 1 + 3
+        assert result.advances_replayed == 1
+        assert result.window.current_bucket == 10**6
+        assert result.window.query().estimate("old") == 0.0
+
     def test_recover_torn_tail_keeps_intact_frames(self, tmp_path):
         config, service = self._service(tmp_path)
         service.handle({"op": "ingest", "items": ["kept"] * 8})
@@ -571,7 +591,6 @@ class TestConcurrencyStress:
             num_counters=128,
             num_shards=4,
             k=5,
-            queue_depth=4,  # small queues force real backpressure
             wal_dir=str(tmp_path / "wal"),
             fsync="off",
             wal_segment_bytes=2_048,  # rotate constantly

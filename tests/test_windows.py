@@ -37,6 +37,40 @@ class TestBucketMechanics:
         assert windowed.advance(steps=3) == 3
         assert windowed.query().estimate("old") == 0.0
 
+    def test_huge_advance_builds_at_most_a_ring_of_buckets(self):
+        built = []
+
+        def counting():
+            built.append(1)
+            return SpaceSaving(num_counters=16)
+
+        windowed = WindowedSummarizer(counting, num_buckets=3)
+        windowed.update("old")
+        built.clear()
+        assert windowed.advance(steps=10**6) == 10**6
+        assert len(built) <= 3
+        assert windowed.advances_total == 10**6
+        assert [bucket_id for bucket_id, _ in windowed.live_buckets()] == [
+            10**6 - 2,
+            10**6 - 1,
+            10**6,
+        ]
+        assert windowed.query().estimate("old") == 0.0
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 7])
+    def test_multi_step_advance_equals_single_steps(self, steps):
+        stepped = make_summarizer(num_buckets=4)
+        jumped = make_summarizer(num_buckets=4)
+        for windowed in (stepped, jumped):
+            windowed.update_batch(["a"] * 5)
+            windowed.advance()
+            windowed.update_batch(["b"] * 3)
+        for _ in range(steps):
+            stepped.advance()
+        assert jumped.advance(steps) == stepped.current_bucket
+        assert jumped.live_buckets() == stepped.live_buckets()
+        assert jumped.advances_total == stepped.advances_total
+
     def test_window_argument_validated(self):
         windowed = make_summarizer(num_buckets=3)
         with pytest.raises(ValueError):
