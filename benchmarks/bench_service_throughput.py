@@ -6,7 +6,8 @@ applies the per-shard batches inline on the calling thread (thread
 backend), while the baseline feeds the same chunks into a single summary
 on the calling thread.  Sharding on threads buys no CPU scaling -- the
 benchmark exists to keep the partitioning overhead visible per PR,
-alongside the snapshot (Theorem 11 merge) latency that queries pay.
+alongside the snapshot (shard copies and their union) latency that
+queries pay.
 
 Every configuration also runs *columnar*: chunks are interned through a
 shared (pre-warmed) :class:`repro.engine.codec.TokenCodec` into encoded

@@ -9,10 +9,11 @@ popularity and bursty arrivals stands in for a real capture; we find
 * the heaviest *5-tuple flow keys* -- ``(src, dst, sport, dport, proto)`` --
   pushed through the full heavy-hitters service loop over its TCP socket:
   bulk ingest as wire-protocol-v4 binary frames (negotiated on the first
-  ping; queries stay NDJSON on the same connection), merged snapshot,
-  point / top-k / heavy-hitter queries, gzip persistence, reload from
-  disk, and a verified merged ``(3A, A+B)`` k-tail guarantee (Theorem
-  11), and
+  ping; queries stay NDJSON on the same connection), a snapshot whose
+  answers come from each flow's owner shard with the shards' verified
+  ``(1, 1)`` k-tail guarantee, point / top-k / heavy-hitter queries, gzip
+  persistence, and a reload from disk of the persisted Theorem 11 merge
+  with its verified ``(3A, A+B)`` guarantee, and
 * the same pipeline *crashing mid-stream* with a write-ahead log enabled:
   the process is abandoned SIGKILL-style between acks, ``recover()``
   rebuilds the state from the log, zero acked packets are lost, and the
@@ -36,7 +37,7 @@ from pathlib import Path
 
 from repro import SpaceSaving, SpaceSavingR
 from repro.core import check_tail_guarantee
-from repro.core.bounds import k_tail_bound
+from repro.core.bounds import k_tail_bound, merged_tail_constants
 from repro.core.tail_guarantee import GuaranteeCheck, TailGuarantee
 from repro.metrics.error import max_error, residual
 from repro.serialization import SerializationError
@@ -158,10 +159,17 @@ def five_tuples_through_the_service(trace) -> None:
                 print(
                     f"snapshot v{meta['version']}: {meta['stream_length']:,.0f} packets "
                     f"across {len(meta['shard_lengths'])} shards, "
-                    f"merged constants (A={guarantee['a']:.0f}, B={guarantee['b']:.0f}), "
+                    f"owner-shard constants (A={guarantee['a']:.0f}, B={guarantee['b']:.0f}), "
                     f"{meta['wire']['wire_bytes']:,} bytes gzipped on disk"
                 )
 
+                answer_bound = k_tail_bound(
+                    residual(exact, K),
+                    int(guarantee["num_counters"]),
+                    K,
+                    a=guarantee["a"],
+                    b=guarantee["b"],
+                )
                 print(f"\ntop {TOP} flows by estimated packet count:")
                 for flow, estimate in client.top_k(TOP):
                     src, dst, sport, dport, proto = flow
@@ -169,6 +177,8 @@ def five_tuples_through_the_service(trace) -> None:
                         f"  {src:>13} -> {dst:<15} {sport:>5}/{dport} {proto:<4}"
                         f" estimated {estimate:8.0f}   true {exact[flow]:8.0f}"
                     )
+                    assert abs(estimate - exact[flow]) <= answer_bound, "(A, B) must hold"
+                print(f"every top-{TOP} answer is within the (A, B) bound {answer_bound:,.1f}")
 
                 heaviest = client.top_k(1)[0][0]
                 point = client.point(heaviest)
@@ -203,15 +213,13 @@ def five_tuples_through_the_service(trace) -> None:
             server.server_close()
             server.service.close()
 
-        # Reload the persisted snapshot (wire format v2 carries the tuples)
-        # and re-verify the merged (3A, A+B) guarantee against ground truth.
+        # Reload the persisted snapshot (wire format v2 carries the tuples):
+        # the file is one summary, the Theorem 11 merge of the shard copies,
+        # so verify its merged (3A, A+B) guarantee against ground truth.
         reloaded = SnapshotManager.load(snapshot_path)
+        a_merged, b_merged = merged_tail_constants(guarantee["a"], guarantee["b"])
         bound = k_tail_bound(
-            residual(exact, K),
-            int(guarantee["num_counters"]),
-            K,
-            a=guarantee["a"],
-            b=guarantee["b"],
+            residual(exact, K), int(guarantee["num_counters"]), K, a=a_merged, b=b_merged
         )
         observed = max_error(exact, reloaded)
         print(

@@ -25,12 +25,20 @@ Two variants of the "extract a sparse approximation" step are provided:
 :func:`merge_summaries` implements both and returns a :class:`MergeResult`
 that exposes the merged estimator, the merged guarantee constants, and a
 bound evaluator.
+
+When the streams are *key-disjoint* (hash partitions of one stream, as in
+the service's shards) no merge is needed: ``disjoint=True`` returns a
+:class:`DisjointUnion` of the summaries themselves.  An item's estimate is
+its owner summary's count, within ``A * F1_res_j(k) / (m - Bk)`` of its true
+frequency, and dropping the other streams' coordinates never raises the
+k-residual (``F1_res_j(k) <= F1_res(k)``), so the union keeps the sources'
+own ``(A, B)`` constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.algorithms.base import FrequencyEstimator, Item
 from repro.core.bounds import k_tail_bound, merged_tail_constants
@@ -52,7 +60,7 @@ class MergeResult:
     num_sources: int
 
     def bound(self, frequencies: Mapping[Item, float]) -> float:
-        """The Theorem 11 error bound for the merged summary."""
+        """The error bound of :attr:`merged_constants` on true frequencies."""
         residual_value = residual(frequencies, self.k)
         return k_tail_bound(
             residual_value,
@@ -73,6 +81,54 @@ class MergeResult:
                 f"m={self.estimator.num_counters}, sources={self.num_sources})"
             ),
         )
+
+
+class DisjointUnion(FrequencyEstimator):
+    """Read-only union of summaries of key-disjoint streams.
+
+    Each item is counted by at most one source (its owner), so the union's
+    estimate -- the sum of the sources' estimates -- is the owner's count,
+    and its counters are the sources' counters side by side.  The counter
+    budget is the sources' common ``m``; the stream length is their sum.
+    """
+
+    def __init__(self, parts: Sequence[FrequencyEstimator]) -> None:
+        budgets = {part.num_counters for part in parts}
+        if len(budgets) != 1:
+            raise ValueError(f"sources must share one counter budget, got {sorted(budgets)}")
+        super().__init__(budgets.pop())
+        self.parts = tuple(parts)
+        self.estimate_side = parts[0].estimate_side
+        self._stream_length = float(sum(part.stream_length for part in parts))
+        self._items_processed = sum(part.items_processed for part in parts)
+
+    def update(self, item: Item, weight: float = 1.0) -> None:
+        raise TypeError("a union of disjoint summaries is read-only")
+
+    def estimate(self, item: Item) -> float:
+        return sum(part.estimate(item) for part in self.parts)
+
+    def counters(self) -> Dict[Item, float]:
+        union: Dict[Item, float] = {}
+        for part in self.parts:
+            union.update(part.counters())
+        return union
+
+    def per_item_errors(self) -> Dict[Item, float]:
+        union: Dict[Item, float] = {}
+        for part in self.parts:
+            union.update(part.per_item_errors())
+        return union
+
+    def top_k(self, k: int) -> List[Tuple[Item, float]]:
+        ranked = sorted(self.counters().items(), key=lambda kv: (-kv[1], repr(kv[0])))
+        return ranked[:k]
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self.parts)
+
+    def size_in_words(self) -> int:
+        return sum(part.size_in_words() for part in self.parts)
 
 
 def _replay_sparse_vector(
@@ -98,6 +154,7 @@ def merge_summaries(
     make_estimator: EstimatorFactory,
     source_constants: TailGuarantee | None = None,
     mode: str = "all_counters",
+    disjoint: bool = False,
 ) -> MergeResult:
     """Merge summaries of separate streams per Theorem 11.
 
@@ -118,6 +175,10 @@ def merge_summaries(
     mode:
         ``"all_counters"`` (default) or ``"top_k"``; see the module docstring
         for the trade-off.
+    disjoint:
+        The streams share no key.  The result is then the
+        :class:`DisjointUnion` of the summaries (no replay, ``make_estimator``
+        unused) and keeps ``source_constants``.
 
     Examples
     --------
@@ -139,6 +200,16 @@ def merge_summaries(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MERGE_MODES}")
     if source_constants is None:
         source_constants = TailGuarantee.for_algorithm(summaries[0])
+    if disjoint:
+        if mode != "all_counters":
+            raise ValueError("a disjoint union keeps every counter; mode must be 'all_counters'")
+        return MergeResult(
+            estimator=DisjointUnion(summaries),
+            k=k,
+            source_constants=source_constants,
+            merged_constants=source_constants,
+            num_sources=len(summaries),
+        )
     merged = make_estimator()
     for summary in summaries:
         if mode == "top_k":
@@ -154,18 +225,3 @@ def merge_summaries(
         merged_constants=TailGuarantee(a=a_merged, b=b_merged),
         num_sources=len(summaries),
     )
-
-
-def merge_all_counters(
-    summaries: Sequence[FrequencyEstimator],
-    make_estimator: EstimatorFactory,
-) -> FrequencyEstimator:
-    """A simpler (heuristic) merge that replays *all* counters of each summary.
-
-    This is the folklore merge used by practitioners; it has no guarantee in
-    the paper but serves as an ablation baseline for ``bench_merge.py``.
-    """
-    merged = make_estimator()
-    for summary in summaries:
-        _replay_sparse_vector(merged, summary.counters())
-    return merged

@@ -1,23 +1,25 @@
 """Long-running heavy-hitters service built on mergeable summaries.
 
-The architectural leap from algorithm library to system: because the
-paper's counter summaries merge with a ``(3A, A+B)`` k-tail guarantee
-(Theorem 11), ingest can be sharded across per-shard summaries and
-queries can be answered from merged snapshots without losing certified
-error bounds.  The pipeline is::
+The architectural leap from algorithm library to system: ingest is
+hash-sharded across per-shard summaries, and because the shards' key
+spaces are disjoint, a query is answered by the owner shard of each key
+with the shards' own ``(A, B)`` k-tail guarantee -- no merge, no loss of
+certified error bounds.  Where inputs overlap in key space (window
+buckets, offline merges, recovery) the paper's ``(3A, A+B)`` merge
+(Theorem 11) combines them instead.  The pipeline is::
 
     tokens --> ShardedSummarizer (hash-partitioned shard summaries,
            |                      batched updates applied inline)
            +-> WindowedSummarizer (ring-buffered per-bucket summaries)
 
-    SnapshotManager: shard copies --merge (Thm 11)--> versioned Snapshot
+    SnapshotManager: shard copies --union (owner shards)--> versioned Snapshot
     Snapshot / WindowAnswer: point, top-k, heavy-hitters queries
     server/client: NDJSON lines + v3 binary ingest frames, one TCP socket
 
 * :mod:`repro.service.sharding` -- hash-sharded ingestion (shard
   summaries behind per-shard locks, each chunk applied inline);
 * :mod:`repro.service.snapshots` -- versioned, persisted, queryable
-  snapshots carrying the merged guarantee;
+  snapshots carrying the shards' own guarantee;
 * :mod:`repro.service.windows` -- sliding-window heavy hitters over
   bucketed summaries;
 * :mod:`repro.service.wal` -- segmented write-ahead log (CRC frames,

@@ -1,9 +1,11 @@
 """Live accuracy auditing: observed error vs the theoretical envelope.
 
 The service's entire value proposition is the k-tail residual guarantee
-(Definition 2; ``(3A, A+B)`` after the Theorem 11 merge).  PR 6 made
-throughput and latency observable; this module makes the *guarantee*
-observable: is the summary actually inside its error bound right now?
+(Definition 2), with the constants each snapshot carries: the shards' own
+``(A, B)``, since every key is answered by its owner shard.  The metrics
+plane makes throughput and latency observable; this module makes the
+*guarantee* observable: is the summary actually inside its error bound
+right now?
 
 The trick is that exactness over a substream is cheap.  Sampling is
 **deterministic by item identity**: a token is audited iff a mixed form
@@ -23,7 +25,7 @@ The theoretical envelope is evaluated conservatively from the same
 mirror: ``F1_res(k) <= N - (sum of the k largest audited exact
 counts)``, because the true top-k mass is at least the top-k mass of
 any subset.  Plugging that residual upper bound into the snapshot's
-merged constants yields a bound that is *at least* the true bound,
+constants yields a bound that is *at least* the true bound,
 which gives ``repro_error_budget_ratio`` (observed max error / bound)
 a one-sided alert semantics: ratio >= 1 is a *certain* guarantee
 violation (never a sampling artifact), while a violation smaller than

@@ -452,7 +452,7 @@ class ServiceClient:
         return self.ingest(items, weights)
 
     def snapshot(self, drain: bool = True) -> dict[str, Any]:
-        """Force a new merged snapshot; returns its metadata."""
+        """Force a new snapshot; returns its metadata."""
         return self.call({"op": "snapshot", "drain": drain})
 
     def checkpoint(self) -> dict[str, Any]:

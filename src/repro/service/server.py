@@ -50,9 +50,11 @@ instead of re-checking each token occurrence in a per-item Python loop,
 and the encoded chunk fans out to the shards with one vectorised
 ``shard_array`` call.
 
-Snapshot-backed answers carry the merged ``(3A, A+B)`` guarantee constants
-of Theorem 11; window answers carry the constants of however many buckets
-were actually merged (see :mod:`repro.service.windows`).
+Snapshot-backed answers carry the shards' own ``(A, B)`` guarantee
+constants (each key is answered by its owner shard); window answers carry
+the constants of however many buckets were actually merged -- ``(A, B)``
+for one, Theorem 11's ``(3A, A+B)`` for more (see
+:mod:`repro.service.windows`).
 """
 
 from __future__ import annotations
@@ -558,7 +560,7 @@ class HeavyHittersService:
 
             registry.register_callback(
                 "repro_error_budget_ratio",
-                "Observed max error / conservative Theorem 11 bound; "
+                "Observed max error / conservative snapshot k-tail bound; "
                 ">= 1 is a certain guarantee violation.",
                 "gauge",
                 budget_ratio_samples,

@@ -1,10 +1,13 @@
 """Sharded ingestion: hash-partitioned per-shard summaries.
 
-The service half of the paper's mergeability story (Section 6.2): because
-counter summaries merge with a ``(3A, A+B)`` guarantee (Theorem 11), a
+The service half of the paper's mergeability story (Section 6.2): a
 heavy-hitters service can *shard* its ingest path -- hash-partition the
-token stream across ``N`` shards, let each shard maintain its own
-summary, and merge on demand -- without giving up certified answers.
+token stream across ``N`` shards and let each shard maintain its own
+summary -- without giving up certified answers.  The partitions are
+key-disjoint, so the owner shard's summary answers for each key with the
+shards' own ``(A, B)`` guarantee; the ``(3A, A+B)`` merge of Theorem 11
+is only needed to fold the shards into one summary (persisted snapshots,
+recovery).
 
 :class:`ShardedSummarizer` keeps each shard as a summary behind a lock
 in this interpreter.  :meth:`ShardedSummarizer.ingest` partitions the
@@ -1053,8 +1056,8 @@ class ShardedSummarizer:
     make_estimator:
         Factory for the per-shard summary (e.g.
         ``lambda: SpaceSaving(num_counters=1000)``).  Every shard gets its
-        own instance; the same factory is reused by the snapshot layer for
-        the Theorem 11 merge.
+        own instance; the same factory is reused as the target of Theorem
+        11 merges (persisted snapshots, recovery).
     num_shards:
         Number of shards.
     queue_depth:

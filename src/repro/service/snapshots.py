@@ -2,16 +2,22 @@
 
 The query side of the service: shard summaries are write-hot and mutate
 concurrently, so queries are answered from immutable *snapshots* instead.
-A snapshot is the Theorem 11 merge of consistent per-shard copies -- it
-carries the merged ``(3A, A+B)`` k-tail guarantee -- plus the bookkeeping a
-query engine needs (true total stream weight at snapshot time, per-shard
-weights, version number, and the wire cost of persisting it).
+A snapshot is the union of consistent per-shard copies
+(:class:`~repro.core.merging.DisjointUnion`): the shards hash-partition the
+key space, so each item is answered by its owner shard alone and the
+snapshot carries the shards' own ``(A, B)`` k-tail guarantee -- ``(1, 1)``
+for SPACESAVING and FREQUENT -- with no Theorem 11 merge.  It also holds
+the bookkeeping a query engine needs (true total stream weight at snapshot
+time, per-shard weights, version number, and the wire cost of persisting
+it).
 
 :class:`SnapshotManager` builds snapshots on demand (:meth:`refresh`) or on
 a fixed cadence (:meth:`start`), keeps the latest one for queries, and can
 persist every version through :func:`repro.serialization.dump_bytes`
 (optionally gzipped) so a restarted service -- or an offline analyst -- can
-reload any version with :meth:`SnapshotManager.load`.
+reload any version with :meth:`SnapshotManager.load`.  A persisted file is
+one summary, so it holds the Theorem 11 merge of the shard copies and its
+estimates meet the merged ``(3A, A+B)`` bound, not the snapshot's own.
 
 Persistence rides wire format v2: structured tokens (flow 5-tuples, bytes,
 bools, None) admitted at the ingest boundary serialise losslessly, and any
@@ -46,10 +52,10 @@ EstimatorFactory = Callable[[], FrequencyEstimator]
 class Snapshot:
     """An immutable, queryable view of the service at one instant.
 
-    Queries served from a snapshot inherit the merged k-tail guarantee of
-    Theorem 11: if every shard summary satisfies the ``(A, B)`` guarantee,
-    every estimate here is within ``3A * F1_res(k) / (m - (A+B)k)`` of the
-    true total frequency.
+    Queries served from a snapshot inherit the shards' k-tail guarantee:
+    if every shard summary satisfies the ``(A, B)`` guarantee with ``m``
+    counters, every estimate here is within ``A * F1_res(k) / (m - Bk)`` of
+    the true total frequency, ``F1_res(k)`` taken over the whole stream.
     """
 
     version: int
@@ -61,12 +67,12 @@ class Snapshot:
 
     @property
     def estimator(self) -> FrequencyEstimator:
-        """The merged summary answering this snapshot's queries."""
+        """The union of shard copies answering this snapshot's queries."""
         return self.merge.estimator
 
     @property
     def constants(self) -> TailGuarantee:
-        """The merged ``(3A, A+B)`` guarantee constants."""
+        """The shards' ``(A, B)`` guarantee constants."""
         return self.merge.merged_constants
 
     @property
@@ -87,7 +93,7 @@ class Snapshot:
 
     @cached_property
     def _ranking(self) -> list[tuple[Item, float]]:
-        """Every merged counter, ranked as the merged estimator's ``top_k``.
+        """Every shard counter, ranked as the union estimator's ``top_k``.
 
         Sorted on the first ranked query, not at refresh: a snapshot
         nobody ranks never pays for it, and every later query slices.
@@ -103,8 +109,8 @@ class Snapshot:
         """Items estimated above ``phi`` of the *true* total stream weight.
 
         Thresholds against the recorded total ingest weight rather than the
-        merged estimator's internal counter mass (the latter undercounts by
-        whatever the shards had already discarded).
+        shards' internal counter mass (the latter undercounts by whatever
+        the shards had already discarded).
         """
         if not 0.0 < phi < 1.0:
             raise ValueError(f"phi must lie in (0, 1), got {phi}")
@@ -112,11 +118,11 @@ class Snapshot:
         return [(item, count) for item, count in self._ranking if count > threshold]
 
     def bound(self, frequencies: Mapping[Item, float]) -> float:
-        """The Theorem 11 error bound evaluated on true frequencies."""
+        """The snapshot's k-tail error bound evaluated on true frequencies."""
         return self.merge.bound(frequencies)
 
     def check(self, frequencies: Mapping[Item, float]) -> GuaranteeCheck:
-        """Verify the merged guarantee against true combined frequencies."""
+        """Verify the snapshot's guarantee against true combined frequencies."""
         return self.merge.check(frequencies)
 
 
@@ -129,19 +135,22 @@ class SnapshotManager:
     sharded:
         The live :class:`~repro.service.sharding.ShardedSummarizer`.
     k:
-        Tail parameter of the merged guarantee attached to every snapshot.
+        Tail parameter of the guarantee attached to every snapshot.
     make_estimator:
-        Factory for the merge target; defaults to the sharded summarizer's
-        own factory (same algorithm and budget as the shards).
+        Factory for the Theorem 11 merge target of persisted snapshots;
+        defaults to the sharded summarizer's own factory (same algorithm
+        and budget as the shards).
     directory:
         When set, every snapshot version is persisted here as
         ``snapshot-<version>.json`` (``.json.gz`` with ``compress=True``).
     compress:
         Gzip persisted snapshots (and report the compressed wire cost).
 
-    Snapshots always merge with the ``all_counters`` mode of
-    :mod:`repro.core.merging`, the one whose answers meet the ``(3A, A+B)``
-    constants they carry.
+    Every refresh combines the shard copies with exactly one
+    ``merge_summaries(..., disjoint=True)`` call, which takes their union
+    and keeps the shards' constants.  Persisting a snapshot replays the
+    copies into one summary with the ``all_counters`` mode of
+    :mod:`repro.core.merging`, whose estimates meet ``(3A, A+B)``.
     """
 
     sharded: ShardedSummarizer
@@ -190,7 +199,7 @@ class SnapshotManager:
     # ------------------------------------------------------------------ #
 
     def refresh(self, drain: bool = False, trace: Trace | None = None) -> Snapshot:
-        """Merge consistent shard copies into a new versioned snapshot.
+        """Combine consistent shard copies into a new versioned snapshot.
 
         With ``drain=True`` the shards are flushed first, so the
         snapshot reflects everything ingested before the call -- the
@@ -199,20 +208,21 @@ class SnapshotManager:
         ingestion keeps running.
 
         A sampled ``trace`` receives one ``snapshot_refresh`` span
-        covering the merge (and persistence, when configured).
+        covering the copy, the union (and persistence, when configured).
         """
         if drain:
             self.sharded.flush()
         started = time.perf_counter()
         # _refresh_lock serialises whole rebuilds (periodic ticker vs manual
         # refreshes); _lock is only held for the version bump and the final
-        # swap, so readers of `latest` never wait on a merge or a disk write.
+        # swap, so readers of `latest` never wait on a copy or a disk write.
         with self._refresh_lock:
             copies = self.sharded.snapshot_summaries()
             merge = merge_summaries(
                 copies,
                 k=self.k,
                 make_estimator=self.make_estimator,
+                disjoint=True,
             )
             with self._lock:
                 self._version += 1
@@ -225,7 +235,7 @@ class SnapshotManager:
                 shard_lengths=shard_lengths,
             )
             if self.directory is not None:
-                snapshot = self._persist(snapshot)
+                snapshot = self._persist(snapshot, copies)
             with self._lock:
                 self._latest = snapshot
                 self.last_refresh_wall = time.time()
@@ -239,11 +249,16 @@ class SnapshotManager:
                 )
             return snapshot
 
-    def _persist(self, snapshot: Snapshot) -> Snapshot:
+    def _persist(
+        self, snapshot: Snapshot, copies: list[FrequencyEstimator]
+    ) -> Snapshot:
         suffix = ".json.gz" if self.compress else ".json"
         path = Path(self.directory) / f"snapshot-{snapshot.version:06d}{suffix}"
+        # The file format is one summary, so the export replays the copies
+        # (Theorem 11); the served snapshot stays their union.
+        export = merge_summaries(copies, k=self.k, make_estimator=self.make_estimator)
         data, cost = serialization.dump_bytes_with_cost(
-            snapshot.estimator, compress=self.compress
+            export.estimator, compress=self.compress
         )
         # Write-then-rename so a crash mid-persist never leaves a truncated
         # file at the canonical name: every version is complete or absent.
@@ -261,7 +276,7 @@ class SnapshotManager:
 
     @staticmethod
     def load(path: str | Path) -> FrequencyEstimator:
-        """Reload a persisted snapshot's merged summary from disk."""
+        """Reload a persisted snapshot's merged (Theorem 11) summary from disk."""
         return serialization.load_bytes(Path(path).read_bytes())
 
     # ------------------------------------------------------------------ #

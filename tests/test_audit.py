@@ -9,9 +9,13 @@ stream the observed error stays inside the paper's k-tail bound
 """
 
 import collections
+import dataclasses
 
 import pytest
 
+from repro.core.merging import DisjointUnion
+from repro.core.tail_guarantee import TailGuarantee
+from repro.metrics.error import residual
 from repro.engine.codec import TokenCodec
 from repro.service import ServiceConfig, parse_exposition, serve_http
 from repro.service.audit import AccuracyAuditor
@@ -104,6 +108,45 @@ class TestAuditAgainstBound:
             # residual is an upper bound, so the ratio must sit below 1.
             assert 0.0 <= response["budget_ratio"] < 1.0
             assert response["observed_error"]["1.0"] <= response["bound"]
+        finally:
+            service.close()
+
+    def test_error_between_owner_and_merged_envelopes_alarms(self):
+        """The envelope is the snapshot's own (1, 1) bound: an error above
+        it but inside the Theorem 11 (3, 2) envelope reads >= 1."""
+        stream = zipf_stream(num_items=2_000, alpha=1.1, total=20_000, seed=8)
+        service = self._service(audit_rate=1.0, num_counters=128)
+        try:
+            service.handle({"op": "ingest", "items": stream.items})
+            snapshot = service.snapshots.refresh(drain=True)
+            exact = collections.Counter(stream.items)
+            k, m = snapshot.k, snapshot.estimator.num_counters
+            res = residual(exact, k)
+            owner = TailGuarantee(1.0, 1.0).bound(res, m, k)
+            merged = TailGuarantee(3.0, 2.0).bound(res, m, k)
+            # Push the hottest item's owner-shard count between the envelopes.
+            hottest = exact.most_common(1)[0][0]
+            parts = [part.copy() for part in snapshot.estimator.parts]
+            owner_part = next(part for part in parts if hottest in part)
+            target = exact[hottest] + (owner + merged) / 2.0
+            owner_part.update(hottest, target - owner_part.estimate(hottest))
+            perturbed = dataclasses.replace(
+                snapshot,
+                merge=dataclasses.replace(snapshot.merge, estimator=DisjointUnion(parts)),
+            )
+            report = service.auditor.run_audit(perturbed)
+            assert report.residual_upper == pytest.approx(res)
+            assert owner < report.observed_error[1.0] < merged
+            assert report.budget_ratio >= 1.0
+            # Under the merged constants snapshots used to carry, the same
+            # error hides inside the envelope.
+            merged_era = dataclasses.replace(
+                perturbed,
+                merge=dataclasses.replace(
+                    perturbed.merge, merged_constants=TailGuarantee(3.0, 2.0)
+                ),
+            )
+            assert service.auditor.run_audit(merged_era).budget_ratio < 1.0
         finally:
             service.close()
 

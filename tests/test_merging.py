@@ -6,7 +6,7 @@ from repro.algorithms.frequent import Frequent
 from repro.algorithms.frequent_real import FrequentR
 from repro.algorithms.space_saving import SpaceSaving
 from repro.algorithms.space_saving_real import SpaceSavingR
-from repro.core.merging import merge_all_counters, merge_summaries
+from repro.core.merging import merge_summaries
 from repro.core.tail_guarantee import TailGuarantee
 from repro.metrics.error import max_error
 from repro.streams.generators import weighted_zipf_stream
@@ -135,11 +135,63 @@ class TestMergeModes:
 class TestMergeAllCounters:
     def test_heuristic_merge_estimates_are_reasonable(self, factory, zipf_medium):
         summaries = summarise_parts(zipf_medium, factory, parts=4, m=150)
-        merged = merge_all_counters(summaries, make_estimator=lambda: factory(150))
+        merged = merge_summaries(
+            summaries, k=5, make_estimator=lambda: factory(150), mode="all_counters"
+        ).estimator
         frequencies = zipf_medium.frequencies()
         # No formal guarantee, but the error should stay within the trivial
         # F1/m bound plus the per-part errors.
         assert max_error(frequencies, merged) <= 4 * zipf_medium.total_weight / 150
+
+
+class TestDisjointUnion:
+    """Key-disjoint parts (hash partitions) are combined without a merge."""
+
+    @staticmethod
+    def summarise_partitions(stream, factory, parts, m):
+        summaries = [factory(m) for _ in range(parts)]
+        for item in stream.items:
+            summaries[hash(item) % parts].update(item)
+        return summaries
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_union_answers_from_owners_with_source_constants(
+        self, factory, zipf_medium, parts
+    ):
+        summaries = self.summarise_partitions(zipf_medium, factory, parts, m=100)
+        union = merge_summaries(
+            summaries, k=10, make_estimator=lambda: factory(100), disjoint=True
+        )
+        assert union.merged_constants == union.source_constants == TailGuarantee(1.0, 1.0)
+        estimator = union.estimator
+        assert estimator.num_counters == 100
+        assert estimator.stream_length == float(len(zipf_medium.items))
+        assert len(estimator) == sum(len(summary) for summary in summaries)
+        frequencies = zipf_medium.frequencies()
+        for item in frequencies:
+            owner = summaries[hash(item) % parts]
+            assert estimator.estimate(item) == owner.estimate(item)
+        ranked = estimator.top_k(len(estimator))
+        assert [count for _, count in ranked] == sorted(
+            estimator.counters().values(), reverse=True
+        )
+        assert union.check(frequencies).holds
+
+    def test_union_is_read_only_and_checks_its_inputs(self, factory):
+        union = merge_summaries(
+            [factory(10), factory(10)], k=2, make_estimator=lambda: factory(10), disjoint=True
+        )
+        with pytest.raises(TypeError):
+            union.estimator.update("a")
+        with pytest.raises(ValueError):
+            merge_summaries(
+                [factory(10), factory(20)], k=2, make_estimator=lambda: factory(10), disjoint=True
+            )
+        with pytest.raises(ValueError):
+            merge_summaries(
+                [factory(10)], k=2, make_estimator=lambda: factory(10), mode="top_k",
+                disjoint=True,
+            )
 
 
 class TestWeightedMerge:

@@ -9,7 +9,9 @@ library exposes:
 * chunks round-tripped through the tagged wire format
   (``dump_chunk_bytes`` / ``load_chunk_bytes``),
 * sharded ingestion merged back per Theorem 11,
-* and a WAL write + crash-recovery replay.
+* a WAL write + crash-recovery replay,
+* and the service's own ingest and snapshot answers (owner-shard point
+  and top-k queries over the union of the shard copies).
 
 The differential contracts:
 
@@ -26,10 +28,16 @@ The differential contracts:
    reports identical bookkeeping (stream length, items processed) and
    stays within its k-tail bound of an exact ``collections.Counter``
    oracle: ``(A, B)`` for single summaries, the merged ``(3A, A+B)`` of
-   Theorem 11 for sharded-then-merged and for crash recovery.
+   Theorem 11 for sharded-then-merged and for crash recovery;
+4. the service's snapshot answers come from the owner shard of each key
+   (hash partitions are key-disjoint), so they keep the shards' own
+   ``(1, 1)`` bound ``F1_res(k) / (m - k)`` on the *global* residual, and
+   a top-k answer omits no key whose true count exceeds its smallest
+   returned estimate plus that bound.
 """
 
 import collections
+import functools
 import random
 
 import pytest
@@ -43,11 +51,14 @@ from repro.core.merging import merge_summaries
 from repro.core.tail_guarantee import TailGuarantee
 from repro.engine.codec import TokenCodec
 from repro.metrics.error import max_error, residual
-from repro.service import ShardedSummarizer, recover
+from repro.service import HeavyHittersService, ServiceConfig, ShardedSummarizer, recover
+from repro.service.server import SERVICE_ALGORITHMS
 from repro.service.wal import WriteAheadLog
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
+from repro.streams.adversarial import lossy_hostile_stream, lower_bound_streams
 from repro.streams.batched import iter_chunks
+from repro.streams.generators import drifting_zipf_streams, zipf_stream
 
 NUM_COUNTERS = 128
 CHUNK_SIZE = 700
@@ -347,3 +358,87 @@ class TestRecoveryOracle:
         heaviest = sorted(oracle, key=oracle.get, reverse=True)[:3]
         for item in heaviest:
             assert item in top or result.estimator.estimate(item) > 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def service_stream(name):
+    """One of the owner-shard tier's token streams, as a tuple."""
+    if name == "zipf":
+        return tuple(zipf_stream(num_items=4_000, alpha=1.1, total=20_000, seed=5).items)
+    if name == "drifting":
+        buckets = drifting_zipf_streams(
+            3_000, alpha=1.2, tokens_per_bucket=5_000, num_buckets=4, drift=150, seed=9
+        )
+        return tuple(token for bucket in buckets for token in bucket.items)
+    if name == "lower-bound":
+        stream, _ = lower_bound_streams(num_counters=NUM_COUNTERS, k=K, repetitions=40)
+        return tuple(stream.items)
+    return tuple(lossy_hostile_stream(epsilon=1.0 / 256, epochs=40).items)
+
+
+SERVICE_STREAMS = ("zipf", "drifting", "lower-bound", "lossy-hostile")
+
+
+@pytest.mark.parametrize("stream_name", SERVICE_STREAMS)
+@pytest.mark.parametrize("num_shards", [1, 2, 4])
+@pytest.mark.parametrize(
+    "algorithm",
+    sorted(SERVICE_ALGORITHMS),
+    ids=lambda key: f"{key[0]}-weighted" if key[1] else key[0],
+)
+class TestOwnerShardServiceOracle:
+    """Service ingest, then snapshot point and top-k answers, against an
+    exact oracle and the (1, 1) bound every snapshot advertises."""
+
+    def test_snapshot_answers_within_owner_shard_bound(
+        self, algorithm, num_shards, stream_name
+    ):
+        name, weighted = algorithm
+        tokens = list(service_stream(stream_name))
+        rng = random.Random(f"{name}-{num_shards}-{stream_name}")
+        weights = [rng.uniform(0.5, 4.0) for _ in tokens] if weighted else None
+        oracle = oracle_of(zip(tokens, weights or [1.0] * len(tokens)))
+        total = sum(oracle.values())
+        config = ServiceConfig(
+            algorithm=name,
+            weighted=weighted,
+            num_counters=NUM_COUNTERS,
+            num_shards=num_shards,
+            k=K,
+            audit_rate=0.0,
+            trace_sample_rate=0.0,
+        )
+        with HeavyHittersService(config) as service:
+            for start in range(0, len(tokens), 2_048):
+                request = {"op": "ingest", "items": tokens[start : start + 2_048]}
+                if weighted:
+                    request["weights"] = weights[start : start + 2_048]
+                assert service.handle(request)["ok"]
+            meta = service.handle({"op": "snapshot", "drain": True})
+            assert meta["guarantee"] == {
+                "a": 1.0, "b": 1.0, "k": K, "num_counters": NUM_COUNTERS
+            }
+            assert meta["stream_length"] == pytest.approx(total)
+            bound = residual(oracle, K) / (NUM_COUNTERS - K) + 1e-9 * total
+
+            def point(item):
+                response = service.handle({"op": "query", "type": "point", "item": item})
+                assert response["guarantee"] == meta["guarantee"]
+                return response["estimate"]
+
+            hottest = sorted(oracle, key=oracle.get, reverse=True)
+            probes = hottest[:100] + hottest[100::37] + [f"never-sent-{i}" for i in range(3)]
+            for item in probes:
+                assert abs(point(item) - oracle.get(item, 0.0)) <= bound, item
+
+            for k in (K, 3 * K):
+                answer = service.handle({"op": "query", "type": "top-k", "k": k})["top_k"]
+                # A FREQUENT shard may hold fewer than k counters.
+                assert 0 < len(answer) <= k
+                returned = {entry["item"] for entry in answer}
+                for entry in answer:
+                    assert abs(entry["estimate"] - oracle[entry["item"]]) <= bound
+                floor = min(entry["estimate"] for entry in answer)
+                for item, count in oracle.items():
+                    if item not in returned:
+                        assert count <= floor + bound, (item, count, floor, bound)

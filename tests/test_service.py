@@ -9,7 +9,9 @@ import pytest
 from repro import serialization
 from repro.algorithms.space_saving import SpaceSaving
 from repro.core.merging import merge_summaries
+from repro.core.tail_guarantee import TailGuarantee
 from repro.metrics.error import residual
+from repro.service import snapshots as snapshots_module
 from repro.service import (
     HeavyHittersService,
     ServiceClient,
@@ -199,13 +201,21 @@ class TestSnapshotManager:
         assert manager.latest_or_refresh() is snapshot
 
     def test_snapshot_carries_merged_guarantee(self, sharded_zipf, zipf_medium):
+        """The union of key-disjoint shard copies keeps the shards' (1, 1)."""
         manager = SnapshotManager(sharded_zipf, k=10)
         snapshot = manager.refresh(drain=True)
-        assert snapshot.constants.a == 3.0
-        assert snapshot.constants.b == 2.0
+        assert (snapshot.constants.a, snapshot.constants.b) == (1.0, 1.0)
         assert snapshot.num_shards == 4
+        assert snapshot.estimator.num_counters == 400
         assert snapshot.stream_length == float(len(zipf_medium.items))
-        assert snapshot.check(zipf_medium.frequencies()).holds
+        frequencies = zipf_medium.frequencies()
+        check = snapshot.check(frequencies)
+        assert check.holds, check.description
+        assert check.bound == residual(frequencies, 10) / (400 - 10)
+        # A point answer is the owner shard's count.
+        shards = sharded_zipf.shard_summaries()
+        for item in frequencies:
+            assert snapshot.estimate(item) == shards[shard_for(item, 4)].estimate(item)
 
     def test_heavy_hitters_threshold_uses_true_weight(self, sharded_zipf, zipf_medium):
         manager = SnapshotManager(sharded_zipf, k=10)
@@ -221,7 +231,7 @@ class TestSnapshotManager:
             if count > threshold + bound:
                 assert item in reported
 
-    def test_persistence_round_trip(self, sharded_zipf, tmp_path):
+    def test_persistence_round_trip(self, sharded_zipf, zipf_medium, tmp_path):
         manager = SnapshotManager(
             sharded_zipf, k=10, directory=tmp_path, compress=True
         )
@@ -230,8 +240,18 @@ class TestSnapshotManager:
         assert snapshot.path.suffix == ".gz"
         assert snapshot.wire.compressed
         assert snapshot.wire.wire_bytes < snapshot.wire.json_bytes
+        frequencies = zipf_medium.frequencies()
+        assert (snapshot.constants.a, snapshot.constants.b) == (1.0, 1.0)
+        assert snapshot.check(frequencies).holds
+        # The file is one summary: the Theorem 11 merge of the shard
+        # copies, which meets the merged (3A, A+B) bound.
+        export = merge_summaries(
+            snapshot.estimator.parts, k=10, make_estimator=sharded_zipf.make_estimator
+        )
         reloaded = SnapshotManager.load(snapshot.path)
-        assert reloaded.counters() == snapshot.estimator.counters()
+        assert reloaded.counters() == export.estimator.counters()
+        assert (export.merged_constants.a, export.merged_constants.b) == (3.0, 2.0)
+        assert export.check(frequencies).holds
 
     def test_periodic_refresh(self, sharded_zipf):
         manager = SnapshotManager(sharded_zipf, k=10)
@@ -249,6 +269,31 @@ class TestSnapshotManager:
     def test_rejects_bad_k(self, sharded_zipf):
         with pytest.raises(ValueError):
             SnapshotManager(sharded_zipf, k=0)
+
+    def test_refresh_copies_and_combines_once(self, sharded_zipf, monkeypatch):
+        """The traced benchmark times a refresh's ``snapshot_copy`` and
+        ``snapshot_merge`` stages by wrapping these two names; each must
+        run exactly once per refresh."""
+        calls = collections.Counter()
+        copy = ShardedSummarizer.snapshot_summaries
+        merge = snapshots_module.merge_summaries
+
+        def counting_copy(self):
+            calls["copy"] += 1
+            return copy(self)
+
+        def counting_merge(*args, **kwargs):
+            calls["merge"] += 1
+            return merge(*args, **kwargs)
+
+        monkeypatch.setattr(ShardedSummarizer, "snapshot_summaries", counting_copy)
+        monkeypatch.setattr(snapshots_module, "merge_summaries", counting_merge)
+        manager = SnapshotManager(sharded_zipf, k=10)
+        manager.refresh()
+        assert calls == {"copy": 1, "merge": 1}
+        manager.refresh(drain=True)
+        manager.latest_or_refresh()
+        assert calls == {"copy": 2, "merge": 2}
 
 
 @pytest.fixture()
@@ -269,15 +314,17 @@ def _refuse(*_args, **_kwargs):
 
 
 class TestSnapshotCopies:
-    def test_snapshot_path_never_serialises(self, thread_flows, monkeypatch):
-        """Snapshots copy shards structurally; the merged snapshot still
-        serialises byte-identically to one built from dump/load copies."""
+    def test_snapshot_path_never_serialises(self, thread_flows, zipf_medium, monkeypatch):
+        """Snapshots copy shards structurally; the snapshot's shard copies
+        still serialise byte-identically to dump/load copies, and their
+        union answers as the union of those."""
         live = thread_flows.shard_summaries()
         expected_copies = [serialization.dumps(shard) for shard in live]
         reference = merge_summaries(
             [serialization.load(serialization.dump(shard)) for shard in live],
             k=10,
             make_estimator=thread_flows.make_estimator,
+            disjoint=True,
         )
         with monkeypatch.context() as patched:
             patched.setattr(serialization, "dump", _refuse)
@@ -286,10 +333,18 @@ class TestSnapshotCopies:
             snapshot = SnapshotManager(thread_flows, k=10).refresh()
         assert [serialization.dumps(copy) for copy in copies] == expected_copies
         assert all(copy is not shard for copy, shard in zip(copies, live))
-        assert serialization.dumps(snapshot.estimator) == serialization.dumps(
-            reference.estimator
+        parts = snapshot.estimator.parts
+        assert [serialization.dumps(part) for part in parts] == expected_copies
+        assert all(part is not shard for part, shard in zip(parts, live))
+        assert snapshot.estimator.counters() == reference.estimator.counters()
+        assert snapshot.top_k(len(snapshot.estimator)) == reference.estimator.top_k(
+            len(reference.estimator)
         )
-        assert snapshot.constants == reference.merged_constants
+        assert snapshot.constants == reference.merged_constants == TailGuarantee(1.0, 1.0)
+        exact = collections.Counter(
+            ("10.0.0.1", "10.0.0.2", int(item), 443, 6) for item in zipf_medium.items
+        )
+        assert snapshot.check(exact).holds
 
     def test_checkpoint_payloads_are_encoded_outside_the_shard_locks(
         self, thread_flows, monkeypatch
@@ -421,7 +476,7 @@ class TestHeavyHittersServiceHandle:
         meta = service.handle({"op": "snapshot"})
         assert meta["ok"] and meta["version"] == 1
         assert meta["stream_length"] == 40.0
-        assert meta["guarantee"] == {"a": 3.0, "b": 2.0, "k": 5, "num_counters": 200}
+        assert meta["guarantee"] == {"a": 1.0, "b": 1.0, "k": 5, "num_counters": 200}
         point = service.handle({"op": "query", "type": "point", "item": "a"})
         assert point["estimate"] == 30.0
         top = service.handle({"op": "query", "type": "top-k", "k": 1})
@@ -519,10 +574,10 @@ class TestServiceEndToEnd:
             assert len(shard_lengths) == 4
             assert all(length > 0 for length in shard_lengths)
 
-            # Top-k answers from the merged snapshot stay within the
-            # Theorem 11 (3A, A+B) tail bound of the exact counts.
+            # Top-k answers from the snapshot's owner shards stay within
+            # the shards' own (A, B) = (1, 1) tail bound of the exact counts.
             guarantee = meta["guarantee"]
-            assert (guarantee["a"], guarantee["b"]) == (3.0, 2.0)
+            assert (guarantee["a"], guarantee["b"]) == (1.0, 1.0)
             k = guarantee["k"]
             bound = (
                 guarantee["a"]
@@ -533,6 +588,8 @@ class TestServiceEndToEnd:
             assert len(answers) == k
             for item, estimate in answers:
                 assert abs(estimate - exact.get(item, 0)) <= bound + 1e-9
+            for item, count in exact.most_common(50):
+                assert abs(client.point(item)["estimate"] - count) <= bound + 1e-9
             top_true = {item for item, _ in exact.most_common(10)}
             top_served = {item for item, _ in answers}
             assert top_true <= top_served
@@ -556,7 +613,9 @@ class TestServiceEndToEnd:
             )
             assert response["buckets_merged"] == 3
             assert response["stream_length"] == float(sum(window_exact.values()))
+            # Buckets overlap in key space, so the window keeps Theorem 11.
             window_guarantee = response["guarantee"]
+            assert (window_guarantee["a"], window_guarantee["b"]) == (3.0, 2.0)
             window_bound = (
                 window_guarantee["a"]
                 * residual(window_exact, window_guarantee["k"])
