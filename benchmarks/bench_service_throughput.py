@@ -12,18 +12,18 @@ queries pay.
 Every configuration also runs *columnar*: chunks are interned through a
 shared (pre-warmed) :class:`repro.engine.codec.TokenCodec` into encoded
 id columns, so shard fan-out happens with one vectorised ``shard_array``
-call per chunk instead of one ``shard_for`` call per token, and the shard
-workers consume the encoded sub-chunks directly.
+call per chunk instead of one ``shard_for`` call per token, and each
+shard applies its encoded sub-chunk inline.
 
-Since wire protocol v3 the benchmark also times the *socket* ingest path
-over a real TCP connection, one row per wire encoding: ``socket-json``
-(NDJSON request lines, the protocol-2 encoding) and ``socket-binary``
-(v3 length-prefixed frames carrying the WAL's CRC-framed chunk record,
-appended verbatim server-side).  Both rows use string tokens -- integer
-streams ride vectorised fast paths that mask the JSON parse cost the
-binary frame exists to remove -- and ``wire-columnar`` times the same
-string stream through the in-process sharded columnar path as the
-ceiling the socket rows are gated against.
+The benchmark also times the *socket* ingest path over a real TCP
+connection, one row per wire encoding: ``socket-json`` (NDJSON request
+lines) and ``socket-binary`` (protocol-4 length-prefixed frames carrying
+the WAL's CRC-framed packed chunk record, appended verbatim
+server-side); after decoding, both feed the same server ingest path.
+Both rows use string tokens -- integer streams ride vectorised fast paths
+that mask the JSON parse cost the binary frame exists to remove -- and
+``wire-columnar`` times the same string stream through the in-process
+sharded columnar path as the ceiling the socket rows are gated against.
 
 Two entry points, mirroring ``bench_update_throughput``:
 
@@ -209,7 +209,7 @@ def _run_admission(items, mode: str) -> float:
 def _run_socket(items, binary: bool, codec: Optional[TokenCodec] = None) -> float:
     """Time the full client->TCP->server ingest path for one encoding.
 
-    ``binary=True`` drives wire-v3 frames through ``ingest_chunk`` with a
+    ``binary=True`` drives protocol-4 frames through ``ingest_chunk`` with a
     pre-warmed producer codec (the steady state of a ``BatchedIngestor``
     pipeline); ``binary=False`` pins the connection to NDJSON request
     lines.  Metrics, tracing and auditing are off so both rows measure

@@ -267,7 +267,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_sample_rate=args.trace_sample_rate,
         slow_request_seconds=args.slow_request_seconds,
         audit_rate=args.audit_rate,
-        binary=not args.no_binary,
     )
     # The HTTP plane comes up *before* recovery replay: an orchestrator
     # then sees liveness (200 /healthz) with readiness 503 "recovering"
@@ -579,12 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the metrics registry (the uninstrumented baseline; "
         "/metrics then answers 503)",
-    )
-    serve.add_argument(
-        "--no-binary",
-        action="store_true",
-        help="refuse binary ingest frames and advertise protocol 2 "
-        "(NDJSON only); frame-capable clients downgrade automatically",
     )
     serve.add_argument(
         "--algorithm", choices=sorted(_UNIT_ALGORITHMS), default="spacesaving"

@@ -14,7 +14,8 @@ buckets, offline merges, recovery) the paper's ``(3A, A+B)`` merge
 
     SnapshotManager: shard copies --union (owner shards)--> versioned Snapshot
     Snapshot / WindowAnswer: point, top-k, heavy-hitters queries
-    server/client: NDJSON lines + v3 binary ingest frames, one TCP socket
+    server/client: NDJSON lines + binary ingest frames, one TCP socket,
+                   one server ingest path (decode -> WAL -> shards)
 
 * :mod:`repro.service.sharding` -- hash-sharded ingestion (shard
   summaries behind per-shard locks, each chunk applied inline);
@@ -28,9 +29,11 @@ buckets, offline merges, recovery) the paper's ``(3A, A+B)`` merge
 * :mod:`repro.service.recovery` -- checkpoint + replay crash recovery
   behind ``repro recover`` and ``repro serve --wal-dir`` restarts;
 * :mod:`repro.service.server` / :mod:`repro.service.client` -- the TCP
-  wire protocol behind ``repro serve`` and ``repro query``: NDJSON
-  request lines plus, since protocol v3, binary length-prefixed ingest
-  frames that carry the WAL's CRC-framed chunk record end to end;
+  wire protocol (version 4) behind ``repro serve`` and ``repro query``:
+  NDJSON request lines plus binary length-prefixed ingest frames that
+  carry the WAL's CRC-framed chunk record end to end.  Either encoding
+  is decoded into an admitted chunk, then one server method appends it
+  to the WAL, fans it out to shards, window and auditor, and acks;
 * :mod:`repro.service.wire` -- the v3 socket framing shared by both
   sides (magic + type + length, negotiation constants);
 * :mod:`repro.service.metrics` -- zero-dependency Prometheus-style

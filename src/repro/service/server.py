@@ -1,4 +1,4 @@
-"""The heavy-hitters service: request handling and the NDJSON socket server.
+"""The heavy-hitters service: request handling and the TCP socket server.
 
 :class:`HeavyHittersService` wires the three service pieces together --
 sharded concurrent ingest (:mod:`repro.service.sharding`), versioned
@@ -7,9 +7,9 @@ windows (:mod:`repro.service.windows`) -- behind a single
 ``handle(request) -> response`` dict interface, so the core logic is
 testable without sockets.
 
-The wire protocol (version 2) is newline-delimited JSON over a local TCP
-socket: one request object per line in, one response object per line out,
-``"ok"`` signalling success.  The ``repro serve`` / ``repro query`` CLI
+Requests are newline-delimited JSON over a local TCP socket: one request
+object per line in, one response object per line out, ``"ok"``
+signalling success.  The ``repro serve`` / ``repro query`` CLI
 pair and :class:`repro.service.client.ServiceClient` speak it.  Requests::
 
     {"op": "ping"}
@@ -35,13 +35,15 @@ JSON whenever JSON represents the type losslessly and as a tagged key with
 ``"item_tagged": true`` otherwise, so version 1 clients sending plain
 string/number tokens see byte-identical behaviour.
 
-Bulk ingest can instead ride binary frames (protocol 4, see
-:mod:`repro.service.wire`): each carries a client-encoded, CRC-framed
+Bulk ingest can instead ride binary frames (see :mod:`repro.service.wire`),
+which every server accepts: each carries a client-encoded, CRC-framed
 chunk record in the packed layout of
 :func:`repro.serialization.dump_chunk_bytes`, which the server decodes
 once and appends to its WAL verbatim.  Protocol-3 frames, whose records
-hold JSON text, are still accepted.  The NDJSON path encodes the same
-packed record server-side for the WAL.
+hold JSON text, are still accepted.  Both encodings only turn the request
+into an admitted chunk; one method then logs it, fans it out and acks it,
+and the NDJSON path encodes the same packed record server-side for the
+WAL.
 
 Admission control is amortised into the columnar codec: each ingest chunk
 is interned through a :class:`~repro.engine.codec.TokenCodec`, which
@@ -124,9 +126,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a module cycle
 #: frames interleaved with NDJSON lines on the same socket (see
 #: :mod:`repro.service.wire`); 4 makes the chunk record inside a frame the
 #: packed binary layout instead of JSON text (v3 frames are still taken).
-#: Exposed by the ping response so clients can negotiate: a client only
-#: sends frames after seeing protocol >= 4, and refuses structured tokens
-#: to a v1 server (which would store the tagged key *strings* verbatim).
+#: Every server speaks it and reports it on ping and ``/healthz``, so
+#: clients can negotiate: a client only sends frames after seeing protocol
+#: >= 4, and refuses structured tokens to a v1 server (which would store
+#: the tagged key *strings* verbatim).
 PROTOCOL_VERSION = 4
 
 _MISSING = object()
@@ -198,11 +201,6 @@ class ServiceConfig:
     audit_max_items: int = DEFAULT_AUDIT_MAX_ITEMS
     #: Minimum seconds between scrape-triggered audit comparisons.
     audit_interval: float = DEFAULT_AUDIT_INTERVAL
-    #: Accept binary ingest frames (protocols 3 and 4) on the TCP socket.
-    #: ``False`` runs an NDJSON-only server that advertises protocol 2 and
-    #: answers any binary frame with a one-line JSON error -- the explicit
-    #: downgrade knob for fleets still draining v2-only clients.
-    binary: bool = True
 
     def manifest(self) -> dict[str, Any]:
         """The fields recovery needs to rebuild this service's estimators."""
@@ -827,16 +825,10 @@ class HeavyHittersService:
                 self._log.warning("slow request", extra=extra)
         return response
 
-    @property
-    def protocol(self) -> int:
-        """The wire protocol version this instance advertises.
-
-        This *is* the negotiation: a client pings, reads this field, and
-        only sends binary frames when it is >= 4.  An instance with
-        ``binary=False`` advertises protocol 2 so frame-capable clients
-        downgrade to NDJSON automatically.
-        """
-        return PROTOCOL_VERSION if self.config.binary else 2
+    #: The wire protocol version this instance advertises on ping and
+    #: ``/healthz``.  This *is* the negotiation: a client pings, reads it,
+    #: and only sends binary frames when it is >= 4.
+    protocol: int = PROTOCOL_VERSION
 
     def _op_ping(
         self, request: dict[str, Any], trace: Trace | None = None
@@ -848,7 +840,7 @@ class HeavyHittersService:
             "ok": True,
             "pong": True,
             "protocol": self.protocol,
-            "binary": self.config.binary,
+            "binary": True,
             "tracing": self.tracer is not None,
             "audit": self.auditor is not None,
         }
@@ -889,85 +881,10 @@ class HeavyHittersService:
             self._codec = TokenCodec()
             self._decode_memo.clear()
 
-    def _apply_chunk_locked(
-        self, chunk: EncodedChunk, record: bytes, trace: Trace | None
-    ) -> tuple[float, WalPosition]:
-        """WAL append of a pre-framed record + shard fan-out, under the lock.
-
-        ``record`` is the one CRC-framed serialisation of ``chunk`` --
-        built once per request (by the server on the JSON path, by the
-        *client* on the binary path) and appended to the WAL verbatim, so
-        the chunk is never encoded twice.
-
-        Durability boundary: the record hits the log (fsync per policy)
-        before any shard sees it, and the ack only goes out after the
-        append returns -- so under fsync="always" an acked token is on
-        disk.  Fan-out stays under the lock so a concurrent checkpoint's
-        WAL position always matches what the shards were handed.  A
-        pending shard failure is surfaced *before* the append: otherwise
-        this request would error after durably logging its chunk, and a
-        producer that retries on error would double-count on recovery.
-        (The fan-out itself cannot fail validation -- the codec admitted
-        every token already.)
-        """
-        self.sharded.raise_pending_errors()
-        if trace is not None:
-            mark = time.perf_counter()
-        wal_position = self.wal.append_record(record, trace=trace)
-        if trace is not None:
-            now = time.perf_counter()
-            trace.add_span("wal_append", now - mark)
-            mark = now
-        ingested = self.sharded.ingest(chunk, trace=trace)
-        if trace is not None:
-            trace.add_span("shard_enqueue", time.perf_counter() - mark)
-        if self.windowed is not None:
-            self.windowed.update_batch(chunk)
-        if self.auditor is not None:
-            self.auditor.observe_chunk(chunk)
-        return ingested, wal_position
-
-    def _apply_chunk_unlogged(self, chunk: EncodedChunk, trace: Trace | None) -> float:
-        """Shard fan-out without a WAL; runs *outside* the ingest lock."""
-        if trace is not None:
-            mark = time.perf_counter()
-        ingested = self.sharded.ingest(chunk, trace=trace)
-        if trace is not None:
-            trace.add_span("shard_enqueue", time.perf_counter() - mark)
-        if self.windowed is not None:
-            self.windowed.update_batch(chunk)
-        if self.auditor is not None:
-            self.auditor.observe_chunk(chunk)
-        return ingested
-
-    def _ingest_response(
-        self,
-        chunk: EncodedChunk,
-        ingested: float,
-        wal_position: WalPosition | None,
-        protocol: str,
-    ) -> dict[str, Any]:
-        """The shared ingest epilogue: metrics and the ack."""
-        if self._m_tokens is not None:
-            # One counter bump per *chunk* (not per token), after the ack
-            # is decided: scraped totals always equal acked totals.
-            self._m_tokens.inc(ingested)
-            self._m_batches.inc()
-            self._m_batch_size.observe(len(chunk))
-            self._m_ingest_requests.labels(protocol).inc()
-        response = {
-            "ok": True,
-            "ingested": ingested,
-            "tokens_enqueued": self.sharded.tokens_enqueued,
-        }
-        if self.wal is not None:
-            response["wal"] = wal_position.as_dict()
-            response["durable"] = self.config.fsync == "always"
-        return response
-
     def _op_ingest(
         self, request: dict[str, Any], trace: Trace | None = None
     ) -> dict[str, Any]:
+        """One NDJSON ingest request: items (tagged or raw) + weights."""
         items = request.get("items")
         if not isinstance(items, list):
             return {"ok": False, "error": "ingest requires an 'items' list"}
@@ -976,41 +893,31 @@ class HeavyHittersService:
             not isinstance(weights, list) or len(weights) != len(items)
         ):
             return {"ok": False, "error": "'weights' must parallel 'items'"}
-        # Snapshots copy shards through the wire format, so an item the
-        # format cannot carry must be rejected here, before any shard
-        # stores it.  That admission control is amortised into the codec:
-        # encode_chunk validates each *new* vocabulary entry exactly once
-        # (TokenAdmissionError is a ValueError; handle() turns it into an
-        # error payload) instead of re-checking every token occurrence,
-        # and the resulting chunk fans out to the shards with one
-        # vectorised shard_array call.
-        wal_position: WalPosition | None = None
-        with self._ingest_lock:
-            self._maybe_rotate_codec_locked()
-            # Trace spans are recorded with bare perf_counter deltas
-            # behind `is not None` guards: the unsampled hot path pays
-            # nothing beyond the comparisons.
+        tagged = request.get("encoding") == "tagged"
+
+        def decode() -> EncodedChunk:
+            # Snapshots copy shards through the wire format, so an item the
+            # format cannot carry must be rejected here, before any shard
+            # stores it.  That admission control is amortised into the
+            # codec: encode_chunk validates each *new* vocabulary entry
+            # exactly once (TokenAdmissionError is a ValueError; handle()
+            # turns it into an error payload) instead of re-checking every
+            # token occurrence.
             if trace is not None:
                 mark = time.perf_counter()
-            if request.get("encoding") == "tagged":
-                items = self._decode_tagged_items(items)
+            keys = self._decode_tagged_items(items) if tagged else items
             if trace is not None:
                 now = time.perf_counter()
                 trace.add_span("decode", now - mark, protocol="json")
                 mark = now
-            chunk = self._codec.encode_chunk(items, weights)
+            chunk = self._codec.encode_chunk(keys, weights)
             if trace is not None:
                 trace.add_span(
-                    "admission", time.perf_counter() - mark, tokens=len(items)
+                    "admission", time.perf_counter() - mark, tokens=len(keys)
                 )
-            if self.wal is not None:
-                record = encode_chunk_record(chunk, compress=self.wal.compress)
-                ingested, wal_position = self._apply_chunk_locked(
-                    chunk, record, trace
-                )
-        if self.wal is None:
-            ingested = self._apply_chunk_unlogged(chunk, trace)
-        return self._ingest_response(chunk, ingested, wal_position, "json")
+            return chunk
+
+        return self._ingest(decode, None, "json", trace)
 
     def _op_ingest_binary(
         self, request: dict[str, Any], trace: Trace | None = None
@@ -1024,24 +931,17 @@ class HeavyHittersService:
         columns from a :class:`memoryview` of the received buffer, append
         that same buffer to the log verbatim.
         """
-        if not self.config.binary:
-            return {
-                "ok": False,
-                "error": "binary ingest frames are disabled on this server "
-                "(NDJSON protocol 2 only)",
-            }
         record = request.get("record")
         if not isinstance(record, (bytes, bytearray, memoryview)):
             return {"ok": False, "error": "binary ingest requires a chunk record"}
         payload = parse_chunk_record(record)
-        wal_position: WalPosition | None = None
-        with self._ingest_lock:
-            self._maybe_rotate_codec_locked()
-            if trace is not None:
-                mark = time.perf_counter()
+
+        def decode() -> EncodedChunk:
             # Decoding interns only vocabulary entries the codec has not
             # seen (admission control included); the id column is validated
             # in one vectorised pass against the chunk's own vocabulary.
+            if trace is not None:
+                mark = time.perf_counter()
             chunk = serialization.load_chunk_bytes(payload, self._codec)
             if trace is not None:
                 trace.add_span(
@@ -1050,13 +950,88 @@ class HeavyHittersService:
                     tokens=len(chunk),
                     protocol="binary",
                 )
+            return chunk
+
+        return self._ingest(decode, bytes(record), "binary", trace)
+
+    def _ingest(
+        self,
+        decode: Callable[[], EncodedChunk],
+        record: bytes | None,
+        protocol: str,
+        trace: Trace | None,
+    ) -> dict[str, Any]:
+        """The one ingest path behind both wire encodings.
+
+        ``decode`` turns the request into an admitted chunk (recording the
+        ``decode`` and, for JSON, ``admission`` spans); it runs under
+        ``_ingest_lock`` because interning is not thread-safe.  ``record``
+        is the chunk's CRC-framed WAL record when the client sent one;
+        otherwise it is encoded here, once, and only for a WAL.
+
+        Durability boundary: with a WAL the record hits the log (fsync per
+        policy) before any shard sees it, and the ack only goes out after
+        the append returns -- so under fsync="always" an acked token is on
+        disk.  Fan-out stays under the lock so a concurrent checkpoint's
+        WAL position always matches what the shards were handed.  A
+        pending shard failure is surfaced *before* the append: otherwise
+        this request would error after durably logging its chunk, and a
+        producer that retries on error would double-count on recovery.
+        An empty chunk is acked at the current tail without an append.
+        Without a WAL the fan-out runs after the lock is released.
+        """
+        wal_position: WalPosition | None = None
+        with self._ingest_lock:
+            self._maybe_rotate_codec_locked()
+            chunk = decode()
             if self.wal is not None:
-                ingested, wal_position = self._apply_chunk_locked(
-                    chunk, bytes(record) if not isinstance(record, bytes) else record, trace
-                )
+                self.sharded.raise_pending_errors()
+                if len(chunk) == 0:
+                    wal_position = self.wal.tail()
+                else:
+                    if record is None:
+                        record = encode_chunk_record(chunk, compress=self.wal.compress)
+                    if trace is not None:
+                        mark = time.perf_counter()
+                    wal_position = self.wal.append_record(record, trace=trace)
+                    if trace is not None:
+                        trace.add_span("wal_append", time.perf_counter() - mark)
+                ingested = self._fan_out(chunk, trace)
         if self.wal is None:
-            ingested = self._apply_chunk_unlogged(chunk, trace)
-        return self._ingest_response(chunk, ingested, wal_position, "binary")
+            ingested = self._fan_out(chunk, trace)
+        if self._m_tokens is not None:
+            # One counter bump per *chunk* (not per token), after the ack
+            # is decided: scraped totals always equal acked totals.
+            self._m_tokens.inc(ingested)
+            self._m_batches.inc()
+            self._m_batch_size.observe(len(chunk))
+            self._m_ingest_requests.labels(protocol).inc()
+        response: dict[str, Any] = {
+            "ok": True,
+            "ingested": ingested,
+            "tokens_enqueued": self.sharded.tokens_enqueued,
+        }
+        if wal_position is not None:
+            response["wal"] = wal_position.as_dict()
+            response["durable"] = self.config.fsync == "always"
+        return response
+
+    def _fan_out(self, chunk: EncodedChunk, trace: Trace | None) -> int:
+        """Hand an admitted chunk to the shards, the window and the auditor.
+
+        The codec admitted every token already, so this cannot fail
+        validation.
+        """
+        if trace is not None:
+            mark = time.perf_counter()
+        ingested = self.sharded.ingest(chunk, trace=trace)
+        if trace is not None:
+            trace.add_span("shard_enqueue", time.perf_counter() - mark)
+        if self.windowed is not None:
+            self.windowed.update_batch(chunk)
+        if self.auditor is not None:
+            self.auditor.observe_chunk(chunk)
+        return ingested
 
     def _op_snapshot(
         self, request: dict[str, Any], trace: Trace | None = None
@@ -1383,25 +1358,6 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         unsupported type is answered and skipped -- the length made the
         stream seekable past it.
         """
-        if not service.config.binary:
-            # NDJSON-only server: one JSON error line, then hang up.  The
-            # line (not a frame) is deliberate -- a protocol-2 deployment
-            # of this handler only speaks lines, and a frame-capable client
-            # treats a non-magic response byte as exactly this refusal.
-            self.wfile.write(
-                (
-                    json.dumps(
-                        {
-                            "ok": False,
-                            "error": "binary frames not supported: this "
-                            "server speaks NDJSON protocol 2 only",
-                        }
-                    )
-                    + "\n"
-                ).encode()
-            )
-            self.wfile.flush()
-            return False
         try:
             frame_type, payload = read_socket_frame(self.rfile, magic_consumed=True)
         except FrameError as error:

@@ -1281,7 +1281,7 @@ class ShardedSummarizer:
         """Surface any recorded shard failure to the caller.
 
         Public so ingest boundaries with side effects (the WAL append in
-        :meth:`repro.service.server.HeavyHittersService._op_ingest`) can
+        :meth:`repro.service.server.HeavyHittersService._ingest`) can
         fail *before* committing a chunk that the shards would then reject.
         """
         self._raise_pending_errors()

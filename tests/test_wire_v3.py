@@ -7,10 +7,14 @@ The contract under test (ISSUE 8):
 * the frame payload IS a CRC-framed WAL chunk record -- the server
   validates the CRC, appends the received bytes verbatim, and decodes
   columns through ``memoryview`` without re-serialising;
-* negotiation works in both directions on one port: a v3 server answers
-  protocol-2 NDJSON clients unchanged, an NDJSON-only server
-  (``binary=False``) refuses a frame with one readable error line, an
+* negotiation works in both directions on one port: the server answers
+  protocol-2 NDJSON clients unchanged and reports one protocol on ping
+  and ``/healthz``; against an older (protocol 2 or 3) server an
   ``auto`` client downgrades silently and an ``always`` client errors;
+* both wire encodings run the one server ingest path: the same tokens
+  land on the same shards, bump the same metrics and record the same
+  trace stages with or without a WAL, and an empty ingest acks without
+  touching the log;
 * a corrupted record is rejected before it can reach the WAL and the
   connection survives to carry the retry;
 * WAL files written via the binary path hold the client's exact chunk
@@ -24,8 +28,8 @@ import collections
 import io
 import json
 import socket
-import struct
 import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -33,9 +37,10 @@ import pytest
 from repro import serialization
 from repro.cli import main
 from repro.engine.codec import EncodedChunk, TokenCodec
-from repro.service import ServiceConfig, iter_wal, recover, serve
+from repro.service import ServiceConfig, iter_wal, recover, serve, serve_http
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import HeavyHittersService
+from repro.service.metrics import parse_exposition
+from repro.service.server import PROTOCOL_VERSION, HeavyHittersService
 from repro.service.wal import (
     FRAME_ADVANCE,
     FRAME_CHUNK,
@@ -98,12 +103,17 @@ def v3_server():
         teardown()
 
 
+class _Protocol2Service(HeavyHittersService):
+    """A service advertising protocol 2: an NDJSON-only server."""
+
+    protocol = 2
+
+
 @pytest.fixture()
 def ndjson_server():
-    """A live NDJSON-only server (``binary=False``), torn down after."""
-    server, teardown = _serve_in_thread(
-        ServiceConfig(num_counters=600, num_shards=3, k=10, binary=False)
-    )
+    """A live server that advertises protocol 2 on ping, torn down after."""
+    config = ServiceConfig(num_counters=600, num_shards=3, k=10)
+    server, teardown = _serve_in_thread(config, _Protocol2Service(config))
     try:
         yield server
     finally:
@@ -398,6 +408,89 @@ class TestBinaryIngestEndToEnd:
 
 
 # --------------------------------------------------------------------------- #
+# One ingest path behind both encodings
+# --------------------------------------------------------------------------- #
+
+#: Tokens spread over both shards of a two-shard service.
+PATH_TOKENS = ["a", "b", "c", "d", ("10.0.0.1", 443), "a", "b", "a"] * 4
+
+#: Forced-trace span names per encoding; ``wal_append`` only with a WAL.
+PATH_SPANS = {
+    "json": ["decode", "admission", "wal_append", "shard_apply", "shard_apply", "shard_enqueue"],
+    "binary": ["decode", "wal_append", "shard_apply", "shard_apply", "shard_enqueue"],
+}
+
+
+def _ingest_request(protocol, items):
+    """The request each transport hands ``HeavyHittersService.handle``."""
+    if protocol == "json":
+        keys = [serialization.encode_item_key(item) for item in items]
+        return {"op": "ingest", "items": keys, "encoding": "tagged"}
+    return {"op": "ingest-binary", "record": encode_chunk_record(_chunk(items))}
+
+
+def _ingest_samples(service):
+    samples = parse_exposition(service.metrics.render())
+    return samples.get("repro_ingest_requests_total", {}), samples.get(
+        "repro_ingest_batches_total", {}
+    ).get((), 0.0)
+
+
+class TestOneIngestPath:
+    @pytest.mark.parametrize("wal", [False, True], ids=["no-wal", "wal"])
+    @pytest.mark.parametrize("protocol", ["json", "binary"])
+    def test_same_tokens_same_shards_metrics_and_spans(
+        self, protocol, wal, tmp_path
+    ):
+        config = ServiceConfig(
+            num_counters=64,
+            num_shards=2,
+            wal_dir=str(tmp_path / "wal") if wal else None,
+            fsync="off",
+            trace_sample_rate=0.0,
+        )
+        with HeavyHittersService(config) as service:
+            expected = [collections.Counter(), collections.Counter()]
+            for item in PATH_TOKENS:
+                expected[service.sharded.shard_of(item)][item] += 1.0
+            assert all(expected)  # both shards get tokens
+            requests_before, batches_before = _ingest_samples(service)
+            request = _ingest_request(protocol, PATH_TOKENS)
+            response = service.handle({**request, "trace": {"force": True}})
+            requests_after, batches_after = _ingest_samples(service)
+            counters = [
+                estimator.counters()
+                for estimator in service.sharded.shard_summaries()
+            ]
+        assert response["ingested"] == len(PATH_TOKENS)
+        ack_keys = {"ok", "ingested", "tokens_enqueued", "trace"}
+        assert set(response) == ack_keys | ({"wal", "durable"} if wal else set())
+        assert counters == [dict(shard) for shard in expected]
+        label = (("protocol", protocol),)
+        assert requests_after[label] - requests_before.get(label, 0.0) == 1.0
+        assert sum(requests_after.values()) - sum(requests_before.values()) == 1.0
+        assert batches_after - batches_before == 1.0
+        names = [span["name"] for span in response["trace"]["spans"]]
+        spans = [name for name in PATH_SPANS[protocol] if wal or name != "wal_append"]
+        assert names == spans
+
+    def test_empty_ingests_leave_the_wal_untouched(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        config = ServiceConfig(num_counters=64, num_shards=2, wal_dir=str(wal_dir))
+        with HeavyHittersService(config) as service:
+            assert service.handle(_ingest_request("json", PATH_TOKENS))["ok"]
+            tail = service.wal.tail()
+            for protocol in ("json", "binary"):
+                response = service.handle(_ingest_request(protocol, []))
+                assert response["ok"] and response["ingested"] == 0
+                assert response["wal"] == tail.as_dict()
+                assert service.wal.tail() == tail
+        result = recover(wal_dir)
+        assert result.tokens_replayed == len(PATH_TOKENS)
+        assert result.chunks_replayed == 1
+
+
+# --------------------------------------------------------------------------- #
 # Negotiation, both directions
 # --------------------------------------------------------------------------- #
 
@@ -444,21 +537,19 @@ class TestNegotiation:
             with pytest.raises(ServiceError, match="protocol 2"):
                 client.ingest(["nope"])
 
-    def test_raw_frame_against_ndjson_server_gets_one_error_line(
-        self, ndjson_server
-    ):
-        frame = encode_socket_frame(
-            SOCKET_FRAME_INGEST, encode_chunk_record(_chunk(["x"]))
-        )
-        with _raw_connection(ndjson_server) as sock:
-            sock.sendall(frame)
-            reader = sock.makefile("rb")
-            line = reader.readline()
-            response = json.loads(line.decode("utf-8"))
-            assert response["ok"] is False
-            assert "NDJSON" in response["error"]
-            assert reader.readline() == b""  # server closed the connection
-            reader.close()
+    def test_ping_and_healthz_report_one_protocol(self, v3_server):
+        with ServiceClient(port=v3_server.port) as client:
+            ping = client.call({"op": "ping"})
+        assert ping["protocol"] == PROTOCOL_VERSION
+        assert ping["binary"] is True
+        http = serve_http(port=0, service=v3_server.service)
+        try:
+            url = f"http://127.0.0.1:{http.port}/healthz"
+            with urllib.request.urlopen(url, timeout=10) as response:
+                healthz = json.loads(response.read().decode("utf-8"))
+        finally:
+            http.close()
+        assert healthz["protocol"] == ping["protocol"] == PROTOCOL_VERSION
 
     def test_protocol_2_ndjson_client_works_against_v3_server(self, v3_server):
         """A legacy client is raw NDJSON lines: no ping, no frames."""
@@ -758,8 +849,11 @@ class TestCliBinaryFlag:
         exposition = v3_server.service.metrics.render()
         assert 'repro_ingest_requests_total{protocol="binary"}' in exposition
 
-    def test_serve_parser_accepts_no_binary(self):
+    def test_serve_parser_rejects_no_binary(self, capsys):
+        """Every server takes frames; there is no switch to refuse them."""
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["serve", "--no-binary"])
-        assert args.no_binary is True
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--no-binary"])
+        assert excinfo.value.code == 2
+        assert "--no-binary" in capsys.readouterr().err
