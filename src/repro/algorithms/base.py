@@ -450,6 +450,8 @@ class FrequencyEstimator(ABC):
 
     def top_k(self, k: int) -> List[Tuple[Item, float]]:
         """Return the ``k`` items with largest estimated frequency."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         return self.snapshot().top_k(k)
 
     def heavy_hitters(self, phi: float) -> List[Tuple[Item, float]]:

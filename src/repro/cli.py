@@ -15,12 +15,13 @@ Installed as the ``repro`` console script.  Subcommands:
     from :mod:`repro.serialization`) -- the per-site half of Section 6.2.
 ``merge``
     Merge several summary JSON files into one and print its top items --
-    the coordinator half of Section 6.2.
+    the coordinator half of Section 6.2.  Snapshot and recovery files (the
+    union of a service's shards) merge as their shard summaries.
 ``experiments``
     Run the reproduction experiment suite and print every table.
 ``serve``
     Run the long-running heavy-hitters service: sharded concurrent ingest,
-    merged snapshots, optional sliding windows, and (with ``--wal-dir``) a
+    owner-shard snapshots, optional sliding windows, and (with ``--wal-dir``) a
     write-ahead log that makes acked ingest survive crashes
     (:mod:`repro.service`).
 ``query``
@@ -30,7 +31,8 @@ Installed as the ``repro`` console script.  Subcommands:
 ``recover``
     Rebuild service state from a write-ahead log directory after a crash:
     load the latest checkpoint, replay newer segments, report and
-    optionally persist the merged summary (:mod:`repro.service.recovery`).
+    optionally persist the union of the recovered shards
+    (:mod:`repro.service.recovery`).
 ``lint``
     Run the repo-specific concurrency lint engine over the source tree:
     lock discipline, critical-section hygiene, and exception boundaries
@@ -56,7 +58,7 @@ from repro.algorithms.frequent_real import FrequentR
 from repro.algorithms.space_saving import SpaceSaving
 from repro.algorithms.space_saving_real import SpaceSavingR
 from repro.core.heavy_hitters import HeavyHitters
-from repro.core.merging import merge_summaries
+from repro.core.merging import DisjointUnion, merge_summaries
 from repro.streams import batched
 from repro.streams.generators import uniform_stream, zipf_stream
 from repro.streams.trace import QueryLogGenerator, SyntheticTraceGenerator
@@ -178,7 +180,13 @@ def _cmd_heavy_hitters(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_non_negative(flag: str, value: int) -> None:
+    if value < 0:
+        raise SystemExit(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_top_k(args: argparse.Namespace) -> int:
+    _require_non_negative("--k", args.k)
     summary = _build_summary(args)
     print(f"{'rank':>4} {'item':<24} {'estimate':>12}")
     for rank, (item, estimate) in enumerate(summary.top_k(args.k), start=1):
@@ -200,10 +208,11 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    summaries = [
-        serialization.loads(Path(path).read_text(encoding="utf-8"))
-        for path in args.summaries
-    ]
+    summaries = []
+    for path in args.summaries:
+        summary = serialization.load_bytes(Path(path).read_bytes())
+        # A snapshot or recovery file is a union of shards: merge its parts.
+        summaries.extend(summary.parts if isinstance(summary, DisjointUnion) else [summary])
     budgets = {summary.num_counters for summary in summaries}
     classes = {type(summary) for summary in summaries}
     if len(classes) > 1:
@@ -216,7 +225,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         summaries,
         k=args.k,
         make_estimator=lambda: cls(num_counters=budget),
-        mode=args.mode,
     )
     constants = merged.merged_constants
     print(
@@ -332,6 +340,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.service import RecoveryError, WalError
     from repro.service.recovery import compact, recover
 
+    _require_non_negative("--top-k", args.top_k)
     try:
         result = recover(args.wal_dir, k=args.k)
     except (RecoveryError, WalError, serialization.SerializationError) as error:
@@ -350,7 +359,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     merge = result.merge
     print(
         f"stream weight: {result.stream_length:,.0f}"
-        f"  (merged guarantee A={merge.merged_constants.a:.0f}, "
+        f"  (owner-shard guarantee A={merge.merged_constants.a:.0f}, "
         f"B={merge.merged_constants.b:.0f}, k={merge.k})"
     )
     print(f"{'rank':>4} {'item':<24} {'estimate':>12}")
@@ -362,7 +371,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         Path(args.output).write_text(
             serialization.dumps(result.estimator), encoding="utf-8"
         )
-        print(f"wrote merged summary to {args.output}")
+        print(f"wrote the union of {result.num_shards} shard(s) to {args.output}")
     if args.compact:
         path = compact(args.wal_dir, result)
         print(f"compacted WAL into {path.name}")
@@ -547,11 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.set_defaults(func=_cmd_summarize)
 
     merge = subparsers.add_parser("merge", help="merge summary JSON files")
-    merge.add_argument("summaries", nargs="+", help="summary JSON files to merge")
-    merge.add_argument("--k", type=int, default=10, help="tail parameter / items to print")
     merge.add_argument(
-        "--mode", choices=("all_counters", "top_k"), default="all_counters"
+        "summaries", nargs="+", help="summary JSON files (plain or gzipped) to merge"
     )
+    merge.add_argument("--k", type=int, default=10, help="tail parameter / items to print")
     merge.add_argument("--output", default=None, help="optionally write the merged summary")
     merge.set_defaults(func=_cmd_merge)
 
@@ -696,13 +704,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--k",
         type=int,
         default=None,
-        help="tail parameter of the merged guarantee (default: the served value)",
+        help="tail parameter of the guarantee (default: the served value)",
     )
     recover.add_argument(
         "--top-k", type=int, default=10, help="recovered items to print"
     )
     recover.add_argument(
-        "--output", default=None, help="write the recovered merged summary here"
+        "--output", default=None, help="write the union of the recovered shards here"
     )
     recover.add_argument(
         "--compact",

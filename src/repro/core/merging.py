@@ -93,6 +93,10 @@ class DisjointUnion(FrequencyEstimator):
     """
 
     def __init__(self, parts: Sequence[FrequencyEstimator]) -> None:
+        if not parts:
+            raise ValueError("a union needs at least one summary")
+        if any(isinstance(part, DisjointUnion) for part in parts):
+            raise ValueError("a union's parts cannot themselves be unions")
         budgets = {part.num_counters for part in parts}
         if len(budgets) != 1:
             raise ValueError(f"sources must share one counter budget, got {sorted(budgets)}")
@@ -121,6 +125,8 @@ class DisjointUnion(FrequencyEstimator):
         return union
 
     def top_k(self, k: int) -> List[Tuple[Item, float]]:
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         ranked = sorted(self.counters().items(), key=lambda kv: (-kv[1], repr(kv[0])))
         return ranked[:k]
 
@@ -151,7 +157,7 @@ MERGE_MODES = ("all_counters", "top_k")
 def merge_summaries(
     summaries: Sequence[FrequencyEstimator],
     k: int,
-    make_estimator: EstimatorFactory,
+    make_estimator: EstimatorFactory | None = None,
     source_constants: TailGuarantee | None = None,
     mode: str = "all_counters",
     disjoint: bool = False,
@@ -168,7 +174,7 @@ def merge_summaries(
     make_estimator:
         Factory returning a fresh instance of the counter algorithm used for
         the final merging pass (typically the same class and budget as the
-        sources).
+        sources).  Required unless ``disjoint``.
     source_constants:
         The (A, B) constants of the source summaries; defaults to the proved
         constants for their class.
@@ -177,8 +183,8 @@ def merge_summaries(
         for the trade-off.
     disjoint:
         The streams share no key.  The result is then the
-        :class:`DisjointUnion` of the summaries (no replay, ``make_estimator``
-        unused) and keeps ``source_constants``.
+        :class:`DisjointUnion` of the summaries (no replay, no
+        ``make_estimator``) and keeps ``source_constants``.
 
     Examples
     --------
@@ -210,6 +216,8 @@ def merge_summaries(
             merged_constants=source_constants,
             num_sources=len(summaries),
         )
+    if make_estimator is None:
+        raise ValueError("a Theorem 11 merge needs make_estimator")
     merged = make_estimator()
     for summary in summaries:
         if mode == "top_k":

@@ -27,6 +27,12 @@ queries (and merges) exactly like the original.  It does *not* preserve
 internal acceleration structures byte-for-byte (e.g. the Stream-Summary
 bucket list is rebuilt), which is irrelevant to correctness.
 
+A :class:`~repro.core.merging.DisjointUnion` -- the union of key-disjoint
+shard summaries that the service answers from -- is written as
+``"algorithm": "DisjointUnion"`` with a ``"parts"`` list of the payloads
+above (no ``counts``/``errors`` of its own); it costs the sum of its parts'
+words and loads back as the same union.
+
 Items are carried as type-tagged key strings (wire format v2): ``s:`` str,
 ``i:`` int, ``f:`` float (including ``inf``), ``b:`` bool, ``n:`` None,
 ``y:`` base64 bytes and ``t:`` tuples (a JSON array of encoded elements,
@@ -83,6 +89,7 @@ from repro.algorithms.frequent_real import FrequentR
 from repro.algorithms.lossy_counting import LossyCounting
 from repro.algorithms.space_saving import SpaceSaving, SpaceSavingHeap
 from repro.algorithms.space_saving_real import SpaceSavingR
+from repro.core.merging import DisjointUnion
 from repro.streams.exact import ExactCounter
 
 FORMAT_NAME = "repro-summary"
@@ -253,6 +260,16 @@ def dump(summary: FrequencyEstimator) -> Dict[str, Any]:
     ('SpaceSaving', 4)
     """
     name = type(summary).__name__
+    if isinstance(summary, DisjointUnion):
+        return {
+            "format": FORMAT_NAME,
+            "version": FORMAT_VERSION,
+            "algorithm": name,
+            "num_counters": summary.num_counters,
+            "stream_length": summary.stream_length,
+            "items_processed": summary.items_processed,
+            "parts": [dump(part) for part in summary.parts],
+        }
     if name not in _REGISTRY:
         raise SerializationError(f"no serialiser registered for {name}")
     payload: Dict[str, Any] = {
@@ -396,8 +413,11 @@ def serialized_size_words(payload: Dict[str, Any]) -> int:
 
     One word for the item identifier and one for the counter value, plus one
     per recorded per-item error -- the quantity Section 6.2's motivation
-    (shipping summaries to a coordinator) cares about.
+    (shipping summaries to a coordinator) cares about.  A union costs the
+    sum of its parts.
     """
+    if "parts" in payload:
+        return sum(serialized_size_words(part) for part in payload["parts"])
     return 2 * len(payload.get("counts", {})) + len(payload.get("errors", {}))
 
 
@@ -413,8 +433,20 @@ def _validate(payload: Dict[str, Any]) -> None:
             f"unsupported version {payload.get('version')!r} "
             f"(this library reads versions {SUPPORTED_VERSIONS})"
         )
-    if payload.get("algorithm") not in _REGISTRY:
-        raise SerializationError(f"unknown algorithm {payload.get('algorithm')!r}")
+    algorithm = payload.get("algorithm")
+    if algorithm not in _REGISTRY and algorithm != DisjointUnion.__name__:
+        raise SerializationError(f"unknown algorithm {algorithm!r}")
+
+
+def _load_union(payload: Dict[str, Any]) -> DisjointUnion:
+    entries = payload.get("parts")
+    if not isinstance(entries, list):
+        raise SerializationError("a DisjointUnion payload needs a list of parts")
+    parts = [load(entry) for entry in entries]
+    try:
+        return DisjointUnion(parts)
+    except ValueError as error:
+        raise SerializationError(f"invalid DisjointUnion payload: {error}") from error
 
 
 def load(payload: Dict[str, Any]) -> FrequencyEstimator:
@@ -422,7 +454,8 @@ def load(payload: Dict[str, Any]) -> FrequencyEstimator:
 
     The reconstructed summary reports the same estimates, per-item errors,
     stream length and counter budget as the original, and can keep processing
-    further updates or participate in merges.
+    further updates (a :class:`DisjointUnion` stays read-only) or participate
+    in merges.
 
     Examples
     --------
@@ -434,6 +467,8 @@ def load(payload: Dict[str, Any]) -> FrequencyEstimator:
     True
     """
     _validate(payload)
+    if payload["algorithm"] == DisjointUnion.__name__:
+        return _load_union(payload)
     cls = _REGISTRY[payload["algorithm"]]
     counts = _decode_counts(payload.get("counts", {}))
     errors = _decode_counts(payload.get("errors", {}))

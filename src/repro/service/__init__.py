@@ -4,9 +4,10 @@ The architectural leap from algorithm library to system: ingest is
 hash-sharded across per-shard summaries, and because the shards' key
 spaces are disjoint, a query is answered by the owner shard of each key
 with the shards' own ``(A, B)`` k-tail guarantee -- no merge, no loss of
-certified error bounds.  Where inputs overlap in key space (window
-buckets, offline merges, recovery) the paper's ``(3A, A+B)`` merge
-(Theorem 11) combines them instead.  The pipeline is::
+certified error bounds; snapshot files and crash recovery keep the same
+union.  Where inputs overlap in key space (window buckets, offline
+merges) the paper's ``(3A, A+B)`` merge (Theorem 11) combines them
+instead.  The pipeline is::
 
     tokens --> ShardedSummarizer (hash-partitioned shard summaries,
            |                      batched updates applied inline)

@@ -20,8 +20,9 @@ frames that were fully on disk are replayed, which under
 Three entry points:
 
 * :func:`recover` -- offline: rebuild shard summaries (and window state)
-  from a WAL directory, returning a :class:`RecoveryResult` whose merged
-  estimator carries the Theorem 11 ``(3A, A+B)`` guarantee.  Used by
+  from a WAL directory, returning a :class:`RecoveryResult` whose
+  estimator is the union of the key-disjoint shards and keeps their own
+  ``(A, B)`` guarantee, as a live snapshot does.  Used by
   ``repro recover``.
 * :func:`resume_service` -- online: build a
   :class:`~repro.service.server.HeavyHittersService`, restore the
@@ -33,7 +34,7 @@ Three entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from collections.abc import Callable
@@ -78,11 +79,10 @@ class RecoveryResult:
 
     ``estimators`` are the per-shard summaries (index = shard id), exactly
     as a live :class:`~repro.service.sharding.ShardedSummarizer` would
-    hold them; :attr:`merge` is their Theorem 11 combination.
+    hold them; :attr:`merge` is their owner-shard union.
     """
 
     estimators: list[FrequencyEstimator]
-    make_estimator: EstimatorFactory = field(repr=False)
     window: WindowedSummarizer | None
     k: int
     checkpoint_version: int
@@ -105,28 +105,27 @@ class RecoveryResult:
 
     @cached_property
     def merge(self) -> MergeResult:
-        """The Theorem 11 merge of :attr:`estimators`, built on first read.
+        """The union of :attr:`estimators`, built on first read.
 
-        It carries the proved ``(3A, A+B)`` constants, or neutral ones
-        when the estimator class has none (e.g. ``ExactCounter``).  A
-        service restart never reads it, so it is not built there.  The
-        merge reads the estimators as they are at that first read: read
-        it before handing them to a service that keeps ingesting.
+        The shards hash-partition the key space, so the union keeps the
+        shards' own constants -- ``(1, 1)`` for SPACESAVING and FREQUENT,
+        neutral ones when the estimator class has none (e.g.
+        ``ExactCounter``).  A service restart never reads it, so it is not
+        built there.  The union holds the estimators themselves, not
+        copies: once a service adopts them and keeps ingesting, its
+        answers move with the service's shards.
         """
         try:
             constants = TailGuarantee.for_algorithm(self.estimators[0])
         except ValueError:
             constants = TailGuarantee()
         return merge_summaries(
-            self.estimators,
-            k=self.k,
-            make_estimator=self.make_estimator,
-            source_constants=constants,
+            self.estimators, k=self.k, source_constants=constants, disjoint=True
         )
 
     @property
     def estimator(self) -> FrequencyEstimator:
-        """The merged queryable summary."""
+        """The queryable union of the recovered shards."""
         return self.merge.estimator
 
 
@@ -160,10 +159,9 @@ def recover(
     Every parameter defaults to the value recorded in the directory's
     ``wal-config.json`` manifest, so ``recover(path)`` alone reconstructs
     a service exactly as it was configured.  Explicit arguments override
-    the manifest (e.g. to replay into a different counter budget).  The
-    merge always uses the ``all_counters`` mode, whose answers meet the
-    constants it advertises; a ``merge_mode`` field in manifests from
-    earlier builds is ignored.
+    the manifest (e.g. to replay into a different counter budget).  A
+    ``merge_mode`` field in manifests from earlier builds is ignored: the
+    recovered shards are combined by their union.
 
     Raises :class:`RecoveryError` when the directory holds no recoverable
     state or the configuration cannot be resolved, and
@@ -262,7 +260,6 @@ def recover(
 
     return RecoveryResult(
         estimators=estimators,
-        make_estimator=make_estimator,
         window=window,
         k=max(1, k),
         checkpoint_version=checkpoint_version,

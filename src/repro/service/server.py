@@ -990,7 +990,7 @@ class HeavyHittersService:
                     wal_position = self.wal.tail()
                 else:
                     if record is None:
-                        record = encode_chunk_record(chunk, compress=self.wal.compress)
+                        record = encode_chunk_record(chunk)
                     if trace is not None:
                         mark = time.perf_counter()
                     wal_position = self.wal.append_record(record, trace=trace)

@@ -5,9 +5,10 @@ heavy-hitters service can *shard* its ingest path -- hash-partition the
 token stream across ``N`` shards and let each shard maintain its own
 summary -- without giving up certified answers.  The partitions are
 key-disjoint, so the owner shard's summary answers for each key with the
-shards' own ``(A, B)`` guarantee; the ``(3A, A+B)`` merge of Theorem 11
-is only needed to fold the shards into one summary (persisted snapshots,
-recovery).
+shards' own ``(A, B)`` guarantee.  Snapshots, persisted snapshot files
+and crash recovery all combine the shards by their union
+(:class:`~repro.core.merging.DisjointUnion`); the ``(3A, A+B)`` merge of
+Theorem 11 is left to summaries whose key spaces overlap.
 
 :class:`ShardedSummarizer` keeps each shard as a summary behind a lock
 in this interpreter.  :meth:`ShardedSummarizer.ingest` partitions the

@@ -15,9 +15,10 @@ it).
 a fixed cadence (:meth:`start`), keeps the latest one for queries, and can
 persist every version through :func:`repro.serialization.dump_bytes`
 (optionally gzipped) so a restarted service -- or an offline analyst -- can
-reload any version with :meth:`SnapshotManager.load`.  A persisted file is
-one summary, so it holds the Theorem 11 merge of the shard copies and its
-estimates meet the merged ``(3A, A+B)`` bound, not the snapshot's own.
+reload any version with :meth:`SnapshotManager.load`.  A persisted file
+holds the snapshot's union itself (the shard copies as the parts of one
+``DisjointUnion`` payload), so a reloaded file answers every query exactly
+as the served snapshot did, under the same ``(A, B)`` bound.
 
 Persistence rides wire format v2: structured tokens (flow 5-tuples, bytes,
 bools, None) admitted at the ingest boundary serialise losslessly, and any
@@ -26,13 +27,14 @@ snapshot file written by a v1 build of this library still loads.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 from repro import serialization
 from repro.algorithms.base import FrequencyEstimator, Item
@@ -44,8 +46,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.service.tracing import Trace
-
-EstimatorFactory = Callable[[], FrequencyEstimator]
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,6 @@ class SnapshotManager:
         The live :class:`~repro.service.sharding.ShardedSummarizer`.
     k:
         Tail parameter of the guarantee attached to every snapshot.
-    make_estimator:
-        Factory for the Theorem 11 merge target of persisted snapshots;
-        defaults to the sharded summarizer's own factory (same algorithm
-        and budget as the shards).
     directory:
         When set, every snapshot version is persisted here as
         ``snapshot-<version>.json`` (``.json.gz`` with ``compress=True``).
@@ -148,14 +144,12 @@ class SnapshotManager:
 
     Every refresh combines the shard copies with exactly one
     ``merge_summaries(..., disjoint=True)`` call, which takes their union
-    and keeps the shards' constants.  Persisting a snapshot replays the
-    copies into one summary with the ``all_counters`` mode of
-    :mod:`repro.core.merging`, whose estimates meet ``(3A, A+B)``.
+    and keeps the shards' constants.  Persisting a snapshot writes that
+    union as it is: no Theorem 11 replay anywhere on this path.
     """
 
     sharded: ShardedSummarizer
     k: int
-    make_estimator: EstimatorFactory | None = None
     directory: str | Path | None = None
     compress: bool = False
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -188,8 +182,6 @@ class SnapshotManager:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.make_estimator is None:
-            self.make_estimator = self.sharded.make_estimator
         if self.directory is not None:
             self.directory = Path(self.directory)
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -218,12 +210,7 @@ class SnapshotManager:
         # swap, so readers of `latest` never wait on a copy or a disk write.
         with self._refresh_lock:
             copies = self.sharded.snapshot_summaries()
-            merge = merge_summaries(
-                copies,
-                k=self.k,
-                make_estimator=self.make_estimator,
-                disjoint=True,
-            )
+            merge = merge_summaries(copies, k=self.k, disjoint=True)
             with self._lock:
                 self._version += 1
                 version = self._version
@@ -235,7 +222,7 @@ class SnapshotManager:
                 shard_lengths=shard_lengths,
             )
             if self.directory is not None:
-                snapshot = self._persist(snapshot, copies)
+                snapshot = self._persist(snapshot)
             with self._lock:
                 self._latest = snapshot
                 self.last_refresh_wall = time.time()
@@ -249,34 +236,22 @@ class SnapshotManager:
                 )
             return snapshot
 
-    def _persist(
-        self, snapshot: Snapshot, copies: list[FrequencyEstimator]
-    ) -> Snapshot:
+    def _persist(self, snapshot: Snapshot) -> Snapshot:
         suffix = ".json.gz" if self.compress else ".json"
         path = Path(self.directory) / f"snapshot-{snapshot.version:06d}{suffix}"
-        # The file format is one summary, so the export replays the copies
-        # (Theorem 11); the served snapshot stays their union.
-        export = merge_summaries(copies, k=self.k, make_estimator=self.make_estimator)
         data, cost = serialization.dump_bytes_with_cost(
-            export.estimator, compress=self.compress
+            snapshot.estimator, compress=self.compress
         )
         # Write-then-rename so a crash mid-persist never leaves a truncated
         # file at the canonical name: every version is complete or absent.
         scratch = path.with_suffix(path.suffix + ".tmp")
         scratch.write_bytes(data)
         os.replace(scratch, path)
-        return Snapshot(
-            version=snapshot.version,
-            merge=snapshot.merge,
-            stream_length=snapshot.stream_length,
-            shard_lengths=snapshot.shard_lengths,
-            path=path,
-            wire=cost,
-        )
+        return dataclasses.replace(snapshot, path=path, wire=cost)
 
     @staticmethod
     def load(path: str | Path) -> FrequencyEstimator:
-        """Reload a persisted snapshot's merged (Theorem 11) summary from disk."""
+        """Reload a persisted snapshot's union of shard copies from disk."""
         return serialization.load_bytes(Path(path).read_bytes())
 
     # ------------------------------------------------------------------ #

@@ -36,13 +36,13 @@ Physical layout (one directory):
         | tokens x local id (u16 when entries <= 65536, else u32)
         | tokens x f64 weight (only when flagged)
 
-    (optionally gzipped whole).  Records from earlier builds hold the
-    JSON chunk form instead; replay reads both, dispatching on the first
-    bytes.  Window-advance records carry a tiny JSON body.  A crash can
-    tear the final frame of the final segment; recovery *truncates* the
-    torn tail (reporting how many bytes were dropped) instead of failing,
-    while a bad frame anywhere **before** the tail is real corruption and
-    raises :class:`WalError`.
+    (an outside client may gzip it whole; the reader detects that).
+    Records from earlier builds hold the JSON chunk form instead; replay
+    reads both, dispatching on the first bytes.  Window-advance records
+    carry a tiny JSON body.  A crash can tear the final frame of the
+    final segment; recovery *truncates* the torn tail (reporting how many
+    bytes were dropped) instead of failing, while a bad frame anywhere
+    **before** the tail is real corruption and raises :class:`WalError`.
 
 ``checkpoint-<NNNNNN>.json``
     An atomic (write + rename) snapshot of every shard summary plus the
@@ -212,7 +212,7 @@ def encode_frame(frame_type: int, payload: bytes) -> bytes:
     )
 
 
-def encode_chunk_record(chunk: EncodedChunk, compress: bool = False) -> bytes:
+def encode_chunk_record(chunk: EncodedChunk) -> bytes:
     """One complete CRC-framed chunk record (header + packed chunk payload).
 
     This is the *only* chunk serialisation in the system: the WAL appends
@@ -220,9 +220,7 @@ def encode_chunk_record(chunk: EncodedChunk, compress: bool = False) -> bytes:
     socket ingest frame -- so the server can validate the CRC and append
     the received buffer verbatim, with no re-serialisation.
     """
-    return encode_frame(
-        FRAME_CHUNK, serialization.dump_chunk_bytes(chunk, compress=compress)
-    )
+    return encode_frame(FRAME_CHUNK, serialization.dump_chunk_bytes(chunk))
 
 
 def parse_chunk_record(record: bytes | bytearray | memoryview) -> memoryview:
@@ -271,11 +269,6 @@ class WriteAheadLog:
         Seconds between fsyncs under ``fsync="interval"``.
     max_segment_bytes:
         Rotate to a new segment once the current one reaches this size.
-    max_segment_age:
-        Also rotate once the current segment is this many seconds old
-        (``None`` disables time-based rotation).
-    compress:
-        Gzip chunk payloads before framing (the reader auto-detects).
     append_timer / fsync_timer:
         Optional observers with an ``observe(seconds)`` method (e.g.
         :class:`repro.service.metrics.Histogram`) timing each append and
@@ -301,8 +294,6 @@ class WriteAheadLog:
         fsync: str = "interval",
         fsync_interval: float = DEFAULT_FSYNC_INTERVAL,
         max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        max_segment_age: float | None = None,
-        compress: bool = False,
         append_timer: Any | None = None,
         fsync_timer: Any | None = None,
     ) -> None:
@@ -317,15 +308,11 @@ class WriteAheadLog:
             raise ValueError(
                 f"max_segment_bytes must be >= {min_segment}, got {max_segment_bytes}"
             )
-        if max_segment_age is not None and max_segment_age <= 0:
-            raise ValueError(f"max_segment_age must be positive, got {max_segment_age}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.fsync_interval = fsync_interval
         self.max_segment_bytes = max_segment_bytes
-        self.max_segment_age = max_segment_age
-        self.compress = compress
         self._append_timer = append_timer
         self._fsync_timer = fsync_timer
         self._lock = threading.Lock()
@@ -373,7 +360,6 @@ class WriteAheadLog:
         self._file.write(SEGMENT_MAGIC)
         self._file.flush()
         self._offset = len(SEGMENT_MAGIC)
-        self._segment_opened = time.monotonic()
 
     def append(
         self, frame_type: int, payload: bytes, trace: Trace | None = None
@@ -414,10 +400,7 @@ class WriteAheadLog:
             self._sync_locked()
             if trace is not None and self._last_fsync_seconds is not None:
                 trace.add_span("wal_fsync", self._last_fsync_seconds)
-            if self._offset >= self.max_segment_bytes or (
-                self.max_segment_age is not None
-                and time.monotonic() - self._segment_opened >= self.max_segment_age
-            ):
+            if self._offset >= self.max_segment_bytes:
                 self._rotate_locked()
         if timer is not None:
             timer.observe(time.perf_counter() - start)
@@ -425,9 +408,7 @@ class WriteAheadLog:
 
     def append_chunk(self, chunk: EncodedChunk, trace: Trace | None = None) -> WalPosition:
         """Log one encoded ingest chunk (packed chunk payload)."""
-        return self.append_record(
-            encode_chunk_record(chunk, compress=self.compress), trace=trace
-        )
+        return self.append_record(encode_chunk_record(chunk), trace=trace)
 
     def append_advance(self, steps: int) -> WalPosition:
         """Log a window-advance so recovery reproduces bucket boundaries."""

@@ -28,12 +28,15 @@ The differential contracts:
    reports identical bookkeeping (stream length, items processed) and
    stays within its k-tail bound of an exact ``collections.Counter``
    oracle: ``(A, B)`` for single summaries, the merged ``(3A, A+B)`` of
-   Theorem 11 for sharded-then-merged and for crash recovery;
+   Theorem 11 for sharded-then-merged;
 4. the service's snapshot answers come from the owner shard of each key
    (hash partitions are key-disjoint), so they keep the shards' own
    ``(1, 1)`` bound ``F1_res(k) / (m - k)`` on the *global* residual, and
    a top-k answer omits no key whose true count exceeds its smallest
-   returned estimate plus that bound.
+   returned estimate plus that bound;
+5. a persisted snapshot file and a crash recovery hold the same union of
+   shards, so they answer exactly as the served snapshot and keep
+   ``(1, 1)``.
 """
 
 import collections
@@ -51,7 +54,13 @@ from repro.core.merging import merge_summaries
 from repro.core.tail_guarantee import TailGuarantee
 from repro.engine.codec import TokenCodec
 from repro.metrics.error import max_error, residual
-from repro.service import HeavyHittersService, ServiceConfig, ShardedSummarizer, recover
+from repro.service import (
+    HeavyHittersService,
+    ServiceConfig,
+    ShardedSummarizer,
+    SnapshotManager,
+    recover,
+)
 from repro.service.server import SERVICE_ALGORITHMS
 from repro.service.wal import WriteAheadLog
 from repro.sketches.count_min import CountMinSketch
@@ -333,7 +342,7 @@ class TestBackendDifferentialOracle:
 class TestRecoveryOracle:
     def test_wal_recovery_within_merged_bound(self, tmp_path, seed):
         """Crash recovery is just another ingest path: log every chunk,
-        recover from the log alone, and hold the merged (3A, A+B) bound
+        recover from the log alone, and hold the shards' own (1, 1) bound
         against the exact oracle of everything logged."""
         pairs = random_stream(seed)
         oracle = oracle_of(pairs)
@@ -350,6 +359,7 @@ class TestRecoveryOracle:
             k=K,
         )
         assert result.stream_length == pytest.approx(sum(oracle.values()))
+        assert result.merge.merged_constants == TailGuarantee(a=1.0, b=1.0)
         check = result.merge.check(oracle)
         assert check.holds, check.description
         # Zero loss at the item level: counter summaries never undercount
@@ -442,3 +452,40 @@ class TestOwnerShardServiceOracle:
                 for item, count in oracle.items():
                     if item not in returned:
                         assert count <= floor + bound, (item, count, floor, bound)
+
+
+@pytest.mark.parametrize("stream_name", SERVICE_STREAMS)
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_snapshot_file_and_recovery_answer_as_served(tmp_path, num_shards, stream_name):
+    """A reloaded snapshot file and a WAL recovery answer every point and
+    top-k query exactly like the served snapshot, within its (1, 1) bound."""
+    tokens = list(service_stream(stream_name))
+    oracle = oracle_of((token, 1.0) for token in tokens)
+    config = ServiceConfig(
+        num_counters=NUM_COUNTERS,
+        num_shards=num_shards,
+        k=K,
+        snapshot_dir=str(tmp_path / "snapshots"),
+        compress=True,
+        wal_dir=str(tmp_path / "wal"),
+        fsync="off",
+        audit_rate=0.0,
+        trace_sample_rate=0.0,
+    )
+    with HeavyHittersService(config) as service:
+        for start in range(0, len(tokens), 2_048):
+            assert service.handle({"op": "ingest", "items": tokens[start : start + 2_048]})["ok"]
+        meta = service.handle({"op": "snapshot", "drain": True})
+        served = service.snapshots.latest
+        reloaded = SnapshotManager.load(meta["path"])
+        service.wal.sync()
+        recovered = recover(tmp_path / "wal").estimator
+    bound = residual(oracle, K) / (NUM_COUNTERS - K) + 1e-9
+    probes = list(oracle) + ["never-sent"]
+    ranking = served.top_k(len(served.estimator))
+    for answer in (reloaded, recovered):
+        assert [answer.estimate(item) for item in probes] == [
+            served.estimate(item) for item in probes
+        ]
+        assert answer.top_k(len(answer)) == ranking
+        assert max_error(oracle, answer) <= bound

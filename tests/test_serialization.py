@@ -10,7 +10,7 @@ from repro.algorithms.frequent_real import FrequentR
 from repro.algorithms.lossy_counting import LossyCounting
 from repro.algorithms.space_saving import SpaceSaving, SpaceSavingHeap
 from repro.algorithms.space_saving_real import SpaceSavingR
-from repro.core.merging import merge_summaries
+from repro.core.merging import DisjointUnion, merge_summaries
 from repro.sketches.count_min import CountMinSketch
 from repro.streams.exact import ExactCounter
 from repro.streams.generators import zipf_stream
@@ -302,3 +302,59 @@ class TestBytesAndCompression:
         assert packed.wire_bytes == len(
             serialization.dump_bytes(original, compress=True)
         )
+
+
+def _union(factory, stream, parts=3):
+    """A union of ``parts`` summaries over key-disjoint slices of ``stream``."""
+    summaries = [factory() for _ in range(parts)]
+    for item in stream.items:
+        summaries[int(item) % parts].update(int(item))
+    return DisjointUnion(summaries)
+
+
+class TestDisjointUnionPayload:
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("factory", ALL_CLASSES)
+    def test_round_trip(self, factory, stream, compress):
+        union = _union(factory, stream)
+        clone = serialization.load_bytes(serialization.dump_bytes(union, compress=compress))
+        assert isinstance(clone, DisjointUnion)
+        assert [type(part) for part in clone.parts] == [type(part) for part in union.parts]
+        assert clone.num_counters == union.num_counters
+        assert clone.stream_length == union.stream_length
+        assert clone.per_item_errors() == union.per_item_errors()
+        for item in list(stream.frequencies()) + ["absent"]:
+            assert clone.estimate(item) == union.estimate(item)
+        assert clone.top_k(len(clone)) == union.top_k(len(union))
+        assert serialization.loads(serialization.dumps(union)).counters() == union.counters()
+
+    def test_words_are_the_sum_of_the_parts(self, stream):
+        union = _union(lambda: SpaceSaving(num_counters=32), stream)
+        payload = serialization.dump(union)
+        assert payload["algorithm"] == "DisjointUnion"
+        assert serialization.serialized_size_words(payload) == sum(
+            serialization.serialized_size_words(serialization.dump(part))
+            for part in union.parts
+        )
+
+    def _payload(self, stream):
+        return serialization.dump(_union(lambda: SpaceSaving(num_counters=32), stream))
+
+    def test_no_parts_rejected(self, stream):
+        payload = self._payload(stream)
+        for parts in ([], None, "parts"):
+            with pytest.raises(serialization.SerializationError):
+                serialization.load({**payload, "parts": parts})
+
+    def test_mismatched_budgets_rejected(self, stream):
+        payload = self._payload(stream)
+        odd = serialization.dump(SpaceSaving(num_counters=16))
+        with pytest.raises(serialization.SerializationError, match="budget"):
+            serialization.load({**payload, "parts": [*payload["parts"], odd]})
+
+    def test_nested_union_rejected(self, stream):
+        payload = self._payload(stream)
+        with pytest.raises(serialization.SerializationError, match="unions"):
+            serialization.load({**payload, "parts": [payload]})
+        with pytest.raises(ValueError, match="unions"):
+            DisjointUnion([serialization.load(payload)])

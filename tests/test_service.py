@@ -3,14 +3,16 @@
 import collections
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import serialization
 from repro.algorithms.space_saving import SpaceSaving
-from repro.core.merging import merge_summaries
+from repro.cli import main
+from repro.core.merging import DisjointUnion, merge_summaries
 from repro.core.tail_guarantee import TailGuarantee
-from repro.metrics.error import residual
+from repro.metrics.error import max_error, residual
 from repro.service import snapshots as snapshots_module
 from repro.service import (
     HeavyHittersService,
@@ -243,15 +245,16 @@ class TestSnapshotManager:
         frequencies = zipf_medium.frequencies()
         assert (snapshot.constants.a, snapshot.constants.b) == (1.0, 1.0)
         assert snapshot.check(frequencies).holds
-        # The file is one summary: the Theorem 11 merge of the shard
-        # copies, which meets the merged (3A, A+B) bound.
-        export = merge_summaries(
-            snapshot.estimator.parts, k=10, make_estimator=sharded_zipf.make_estimator
-        )
+        # The file holds the snapshot's union: it answers every point and
+        # top-k query as the served snapshot does, under the same (1, 1).
         reloaded = SnapshotManager.load(snapshot.path)
-        assert reloaded.counters() == export.estimator.counters()
-        assert (export.merged_constants.a, export.merged_constants.b) == (3.0, 2.0)
-        assert export.check(frequencies).holds
+        assert isinstance(reloaded, DisjointUnion)
+        assert reloaded.counters() == snapshot.estimator.counters()
+        assert reloaded.per_item_errors() == snapshot.estimator.per_item_errors()
+        for item in frequencies:
+            assert reloaded.estimate(item) == snapshot.estimate(item)
+        assert reloaded.top_k(len(reloaded)) == snapshot.top_k(len(reloaded))
+        assert max_error(frequencies, reloaded) <= snapshot.bound(frequencies)
 
     def test_periodic_refresh(self, sharded_zipf):
         manager = SnapshotManager(sharded_zipf, k=10)
@@ -654,6 +657,34 @@ class TestServiceEndToEnd:
                 client.call({"op": "query", "type": query_type, "k": -1})
             empty = client.call({"op": "query", "type": query_type, "k": 0})
             assert empty["top_k"] == []
+
+    def test_negative_k_rejected_by_the_library(self):
+        summary = SpaceSaving(num_counters=4)
+        summary.update_many(["a", "b", "b"])
+        for estimator in (summary, DisjointUnion([summary])):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                estimator.top_k(-1)
+            assert estimator.top_k(0) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["top-k", "{workload}", "--k", "-1"],
+            ["recover", "--wal-dir", "{wal}", "--top-k", "-1"],
+        ],
+        ids=["top-k", "recover"],
+    )
+    def test_negative_k_rejected_by_the_cli(self, tmp_path, argv):
+        """The CLI exits with one error line instead of printing every
+        entry but the last."""
+        workload = tmp_path / "workload.txt"
+        workload.write_text("a\nb\nb\n", encoding="utf-8")
+        wal_dir = Path(__file__).parent / "data" / "wal-torn"
+        argv = [arg.format(workload=workload, wal=wal_dir) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert "must be >= 0, got -1" in message and "\n" not in message
 
     def test_bind_failure_does_not_leak_the_service(self, running_server):
         """serve() on a busy port must close the service it started."""

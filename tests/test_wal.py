@@ -8,6 +8,7 @@ import pytest
 
 from repro import serialization
 from repro.algorithms.space_saving import SpaceSaving
+from repro.core.merging import DisjointUnion
 from repro.engine.codec import TokenCodec
 from repro.service import (
     HeavyHittersService,
@@ -319,7 +320,7 @@ class TestCheckpointRecovery:
         assert check.holds
 
     def test_merge_is_built_on_first_read_only(self, tmp_path, monkeypatch):
-        """A restart never reads the merge, so recovery does not build it."""
+        """A restart never reads the union, so recovery does not build it."""
         import repro.service.recovery as recovery_module
 
         config, service = self._service(tmp_path)
@@ -340,15 +341,14 @@ class TestCheckpointRecovery:
         assert result.merge is result.merge
         assert built == [1]
         assert result.estimator.estimate("a") == 30.0
-        assert result.merge.merged_constants.a == 3.0
+        constants = result.merge.merged_constants
+        assert (constants.a, constants.b) == (1.0, 1.0)
         revived.close()
         service.close()
 
     def test_top_k_merge_mode_in_an_earlier_manifest_is_ignored(self, tmp_path):
-        """Recovery merges with ``all_counters`` whatever the manifest says:
-        the ``top_k`` mode breaks the (3A, A+B) bound its answers carry."""
-        from repro.core.merging import merge_summaries
-
+        """Recovery answers from the union of the shards whatever merge
+        mode an earlier build's manifest names, and keeps (1, 1)."""
         config, service = self._service(tmp_path)
         stream = zipf_stream(num_items=2_000, alpha=0.8, total=20_000, seed=5)
         for chunk in iter_chunks([int(v) for v in stream.items], 2_048):
@@ -361,15 +361,13 @@ class TestCheckpointRecovery:
         manifest.pop("format")
         write_manifest(wal_dir, {**manifest, "merge_mode": "top_k"})
         result = recover(wal_dir)
-        merge_args = dict(k=result.k, make_estimator=result.make_estimator)
-        expected = merge_summaries(result.estimators, **merge_args)
-        top_k = merge_summaries(result.estimators, mode="top_k", **merge_args)
-        assert serialization.dumps(result.estimator) == serialization.dumps(
-            expected.estimator
-        )
-        assert serialization.dumps(top_k.estimator) != serialization.dumps(
-            expected.estimator
-        )
+        assert isinstance(result.estimator, DisjointUnion)
+        assert list(result.estimator.parts) == result.estimators
+        constants = result.merge.merged_constants
+        assert (constants.a, constants.b) == (1.0, 1.0)
+        frequencies = {item: float(count) for item, count in stream.frequencies().items()}
+        check = result.merge.check(frequencies)
+        assert check.holds, check.description
         revived, resumed = resume_service(config)
         assert resumed is not None
         assert resumed.tokens_replayed == len(stream.items)
@@ -573,13 +571,85 @@ class TestCheckpointRecovery:
             for chunk in iter_chunks(stream.items, 4_096):
                 wal.append_chunk(codec.encode_chunk(chunk))
         result = recover(wal_dir, make_estimator=ExactCounter, num_shards=3, k=5)
-        merged = {}
-        for estimator in result.estimators:
-            for item, count in estimator.counters().items():
-                merged[item] = merged.get(item, 0.0) + count
-        assert merged == {
+        assert result.estimator.counters() == {
             item: float(count) for item, count in stream.frequencies().items()
         }
+
+
+class TestOwnerShardFiles:
+    """Snapshot files and recovery hold the union of the shards."""
+
+    def _run(self, tmp_path):
+        """Ingest into a WAL-backed service that persists every snapshot;
+        returns the persisted snapshot file and the WAL directory."""
+        config = ServiceConfig(
+            num_counters=64,
+            num_shards=3,
+            k=4,
+            snapshot_dir=str(tmp_path / "snapshots"),
+            wal_dir=str(tmp_path / "wal"),
+            fsync="off",
+        )
+        stream = zipf_stream(num_items=400, alpha=1.1, total=6_000, seed=3)
+        with HeavyHittersService(config) as service:
+            for chunk in iter_chunks([int(v) for v in stream.items], 1_024):
+                assert service.handle({"op": "ingest", "items": chunk})["ok"]
+            meta = service.handle({"op": "snapshot", "drain": True})
+            service.wal.sync()
+        return meta["path"], tmp_path / "wal"
+
+    def test_no_theorem_11_replay_on_the_shard_path(self, tmp_path, monkeypatch, capsys):
+        """Persisting and reloading a snapshot, recovery's union and
+        ``repro recover --output`` never replay counters into a fresh
+        summary: the shards are key-disjoint, so nothing is merged."""
+        from repro.cli import main
+        from repro.core import merging
+
+        replays = []
+        replay = merging._replay_sparse_vector
+
+        def counting_replay(*args, **kwargs):
+            replays.append(1)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(merging, "_replay_sparse_vector", counting_replay)
+        snapshot_path, wal_dir = self._run(tmp_path)
+        SnapshotManager.load(snapshot_path)
+        result = recover(wal_dir)
+        assert isinstance(result.merge.estimator, DisjointUnion)
+        output = tmp_path / "recovered.json"
+        assert main(["recover", "--wal-dir", str(wal_dir), "--output", str(output)]) == 0
+        assert "A=1, B=1" in capsys.readouterr().out
+        assert replays == []
+        # The hook is live: a Theorem 11 merge of the same shards replays.
+        merging.merge_summaries(
+            result.estimators, k=4, make_estimator=lambda: SpaceSaving(64)
+        )
+        assert replays
+
+    def test_recover_output_and_repro_merge(self, tmp_path, capsys):
+        """``recover --output`` writes the union the recovery answers from,
+        and ``repro merge`` still takes snapshot and recovery files,
+        merging their shard parts at Theorem 11's (3A, A+B)."""
+        from repro.cli import main
+
+        snapshot_path, wal_dir = self._run(tmp_path)
+        output = tmp_path / "recovered.json"
+        assert main(["recover", "--wal-dir", str(wal_dir), "--output", str(output)]) == 0
+        written = serialization.loads(output.read_text(encoding="utf-8"))
+        recovered = recover(wal_dir).estimator
+        assert written.top_k(len(written)) == recovered.top_k(len(recovered))
+        assert written.per_item_errors() == recovered.per_item_errors()
+        assert written.stream_length == recovered.stream_length
+        capsys.readouterr()
+        merged_path = tmp_path / "merged.json"
+        code = main(
+            ["merge", snapshot_path, str(output), "--k", "4", "--output", str(merged_path)]
+        )
+        assert code == 0
+        assert "merged 6 summaries (guarantee constants A=3, B=2)" in capsys.readouterr().out
+        merged = serialization.loads(merged_path.read_text(encoding="utf-8"))
+        assert merged.stream_length == 2 * recovered.stream_length
 
 
 class TestConcurrencyStress:
