@@ -9,11 +9,12 @@ benchmark exists to keep the partitioning overhead visible per PR,
 alongside the snapshot (shard copies and their union) latency that
 queries pay.
 
-Every configuration also runs *columnar*: chunks are interned through a
-shared (pre-warmed) :class:`repro.engine.codec.TokenCodec` into encoded
-id columns, so shard fan-out happens with one vectorised ``shard_array``
-call per chunk instead of one ``shard_for`` call per token, and each
-shard applies its encoded sub-chunk inline.
+The sharded rows are *columnar*: the shard layer takes encoded chunks
+only, so chunks are interned through a shared (pre-warmed)
+:class:`repro.engine.codec.TokenCodec` into encoded id columns, shard
+fan-out is one vectorised ``partition_chunk`` call per chunk, and each
+shard applies its encoded sub-chunk inline.  The direct baseline runs
+both plain and columnar.
 
 The benchmark also times the *socket* ingest path over a real TCP
 connection, one row per wire encoding: ``socket-json`` (NDJSON request
@@ -53,7 +54,6 @@ try:
 except ImportError:  # standalone quick mode in a minimal environment
     pytest = None
 
-from repro import serialization
 from repro.algorithms.space_saving import SpaceSaving
 from repro.engine.codec import TokenCodec
 from repro.service.client import ServiceClient
@@ -136,8 +136,8 @@ def _run_direct(items, codec: Optional[TokenCodec] = None) -> float:
 def _run_sharded(
     items,
     num_shards: int,
+    codec: TokenCodec,
     snapshot: bool = False,
-    codec: Optional[TokenCodec] = None,
     chunk_size: int = CHUNK_SIZE,
     backend: str = "thread",
 ) -> dict:
@@ -147,10 +147,7 @@ def _run_sharded(
     ) as sharded:
         start = time.perf_counter()
         for chunk in iter_chunks(items, chunk_size):
-            if codec is not None:
-                sharded.ingest(codec.encode_chunk(chunk))
-            else:
-                sharded.ingest(chunk)
+            sharded.ingest(codec.encode_chunk(chunk))
         sharded.flush()
         ingest_seconds = time.perf_counter() - start
         snapshot_seconds = None
@@ -162,45 +159,17 @@ def _run_sharded(
     return {"ingest_seconds": ingest_seconds, "snapshot_seconds": snapshot_seconds}
 
 
-def _legacy_op_ingest(service, request):
-    """The pre-v2 ``_op_ingest`` body, replicated verbatim for the "before"
-    measurement: request parsing, one ``check_item()`` call per token
-    occurrence, then the plain-sequence sharded ingest."""
-    items = request.get("items")
-    if not isinstance(items, list):
-        return {"ok": False, "error": "ingest requires an 'items' list"}
-    weights = request.get("weights")
-    if weights is not None and (
-        not isinstance(weights, list) or len(weights) != len(items)
-    ):
-        return {"ok": False, "error": "'weights' must parallel 'items'"}
-    for item in items:
-        serialization.check_item(item)
-    ingested = service.sharded.ingest(items, weights)
-    return {"ok": True, "ingested": ingested}
+def _run_admission(items) -> float:
+    """Time the server's NDJSON ingest path, admission included.
 
-
-def _run_admission(items, mode: str) -> float:
-    """Time the server ingest path under each admission-control strategy.
-
-    ``scalar`` dispatches each request through :func:`_legacy_op_ingest`
-    (the pre-v2 handler body, parsing included); ``codec`` drives the real
-    ``handle()`` path, whose validation is amortised to once per new codec
-    vocabulary entry.  One residual skew is unavoidable: today's
-    ``partition_batch`` also runs the batch admission pass on plain
-    sequences, so the scalar row pays a per-chunk ``set()`` scan the true
-    pre-v2 code did not have.  The before/after pair lands in the JSON
-    artifact so the hot-path win stays visible per PR.
+    Drives the real ``handle()`` path, whose codec admits each token once
+    per new vocabulary entry before the chunk reaches WAL and shards.
     """
     config = ServiceConfig(num_counters=NUM_COUNTERS, num_shards=2, k=10)
     with HeavyHittersService(config) as service:
         start = time.perf_counter()
         for chunk in iter_chunks(items, CHUNK_SIZE):
-            request = {"op": "ingest", "items": chunk}
-            if mode == "scalar":
-                response = _legacy_op_ingest(service, request)
-            else:
-                response = service.handle(request)
+            response = service.handle({"op": "ingest", "items": chunk})
             assert response["ok"], response
         service.sharded.flush()
         return time.perf_counter() - start
@@ -257,14 +226,11 @@ def _run_socket(items, binary: bool, codec: Optional[TokenCodec] = None) -> floa
 
 if pytest is not None:
 
-    @pytest.mark.parametrize("columnar", (False, True))
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_sharded_ingest_throughput(benchmark, num_shards, columnar):
-        codec = _warm_codec(STREAM.items) if columnar else None
+    def test_sharded_ingest_throughput(benchmark, num_shards):
         result = benchmark.pedantic(
             _run_sharded,
-            args=(STREAM.items, num_shards),
-            kwargs={"codec": codec},
+            args=(STREAM.items, num_shards, _warm_codec(STREAM.items)),
             iterations=1,
             rounds=3,
         )
@@ -285,9 +251,10 @@ if pytest is not None:
 
 
 def run_comparison(rounds: int = 3, total: int = 50_000) -> List[dict]:
-    """One row per configuration (direct + each shard count, scalar and
-    columnar), best of rounds.  Columnar rows share one pre-warmed codec so
-    they report the saturated-vocabulary steady state."""
+    """One row per configuration (direct plain and columnar, then each
+    shard count columnar), best of rounds.  Columnar rows share one
+    pre-warmed codec so they report the saturated-vocabulary steady
+    state."""
     stream = (
         STREAM
         if total == 50_000
@@ -316,24 +283,24 @@ def run_comparison(rounds: int = 3, total: int = 50_000) -> List[dict]:
             }
         )
 
-        for num_shards in SHARD_COUNTS:
-            best = None
-            for _ in range(max(1, rounds)):
-                result = _run_sharded(items, num_shards, snapshot=True, codec=run_codec)
-                if best is None or result["ingest_seconds"] < best["ingest_seconds"]:
-                    best = result
-            rows.append(
-                {
-                    "config": f"sharded-{num_shards}{suffix}",
-                    "shards": num_shards,
-                    "columnar": columnar,
-                    "tokens": len(items),
-                    "chunk_size": CHUNK_SIZE,
-                    "ingest_seconds": best["ingest_seconds"],
-                    "tokens_per_second": len(items) / best["ingest_seconds"],
-                    "snapshot_seconds": best["snapshot_seconds"],
-                }
-            )
+    for num_shards in SHARD_COUNTS:
+        best = None
+        for _ in range(max(1, rounds)):
+            result = _run_sharded(items, num_shards, codec, snapshot=True)
+            if best is None or result["ingest_seconds"] < best["ingest_seconds"]:
+                best = result
+        rows.append(
+            {
+                "config": f"sharded-{num_shards}-columnar",
+                "shards": num_shards,
+                "columnar": True,
+                "tokens": len(items),
+                "chunk_size": CHUNK_SIZE,
+                "ingest_seconds": best["ingest_seconds"],
+                "tokens_per_second": len(items) / best["ingest_seconds"],
+                "snapshot_seconds": best["snapshot_seconds"],
+            }
+        )
 
     # Thread-vs-process backend rows: the same columnar chunks, with the
     # shard workers in separate interpreters fed framed chunk records over
@@ -343,7 +310,7 @@ def run_comparison(rounds: int = 3, total: int = 50_000) -> List[dict]:
     cores = os.cpu_count() or 1
     for num_shards in SHARD_COUNTS:
         best_seconds = min(
-            _run_sharded(items, num_shards, codec=codec, backend="process")[
+            _run_sharded(items, num_shards, codec, backend="process")[
                 "ingest_seconds"
             ]
             for _ in range(max(1, rounds))
@@ -363,24 +330,21 @@ def run_comparison(rounds: int = 3, total: int = 50_000) -> List[dict]:
             }
         )
 
-    # Admission control before/after: per-item check_item loop (pre-v2
-    # server) vs the codec-amortised handle() path.
-    for mode in ("scalar", "codec"):
-        best_seconds = min(
-            _run_admission(items, mode) for _ in range(max(1, rounds))
-        )
-        rows.append(
-            {
-                "config": f"service-admission-{mode}",
-                "shards": 2,
-                "columnar": mode == "codec",
-                "tokens": len(items),
-                "chunk_size": CHUNK_SIZE,
-                "ingest_seconds": best_seconds,
-                "tokens_per_second": len(items) / best_seconds,
-                "snapshot_seconds": None,
-            }
-        )
+    # The server's NDJSON ingest path, with the codec's amortised
+    # admission.
+    best_seconds = min(_run_admission(items) for _ in range(max(1, rounds)))
+    rows.append(
+        {
+            "config": "service-admission-codec",
+            "shards": 2,
+            "columnar": True,
+            "tokens": len(items),
+            "chunk_size": CHUNK_SIZE,
+            "ingest_seconds": best_seconds,
+            "tokens_per_second": len(items) / best_seconds,
+            "snapshot_seconds": None,
+        }
+    )
 
     # Wire-path rows: structured flow-tuple tokens (integer streams ride
     # vectorised fast paths, and plain strings cross NDJSON untagged --
@@ -391,7 +355,7 @@ def run_comparison(rounds: int = 3, total: int = 50_000) -> List[dict]:
     wire_codec = _warm_codec(wire_items)
     columnar_best = min(
         _run_sharded(
-            wire_items, SOCKET_SHARDS, codec=wire_codec, chunk_size=WIRE_CHUNK_SIZE
+            wire_items, SOCKET_SHARDS, wire_codec, chunk_size=WIRE_CHUNK_SIZE
         )["ingest_seconds"]
         for _ in range(max(3, rounds))
     )

@@ -148,7 +148,12 @@ def _build_summary(args: argparse.Namespace) -> FrequencyEstimator:
 
 
 def _cmd_heavy_hitters(args: argparse.Namespace) -> int:
-    hh = HeavyHitters(phi=args.phi, epsilon=args.epsilon or args.phi / 2, algorithm=args.algorithm)
+    try:
+        hh = HeavyHitters(
+            phi=args.phi, epsilon=args.epsilon or args.phi / 2, algorithm=args.algorithm
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from error
     if args.batch_size > 0:
         tokens = _read_tokens(Path(args.input), args.weighted)
         if args.weighted:
@@ -208,6 +213,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise SystemExit(f"--k must be >= 1, got {args.k}")
     summaries = []
     for path in args.summaries:
         summary = serialization.load_bytes(Path(path).read_bytes())

@@ -77,9 +77,9 @@ def validate_token(item: Item) -> Item:
 def validate_tokens(items: Sequence[Item]) -> None:
     """Validate one ingest batch, amortised to once per *distinct* token.
 
-    The batch-shaped admission check used by every plain-sequence ingest
-    entry point (:class:`repro.service.sharding.ShardedSummarizer`,
-    :mod:`repro.streams.batched`).  Integer, boolean and string NumPy
+    The batch-shaped admission check used by the plain-sequence ingest
+    entry points that do not intern (:mod:`repro.streams.batched`, the
+    service client).  Integer, boolean and string NumPy
     arrays are admissible by dtype alone; float arrays need only a
     vectorised NaN scan; anything else is reduced to its distinct tokens
     with one C-speed ``set()`` pass, so a skewed chunk pays a few
@@ -391,10 +391,9 @@ class EncodedChunk:
     weights:
         Optional ``float64`` array parallel to ``ids``; ``None`` means every
         token has unit weight.  Weights are validated at construction to be
-        finite and non-negative -- the same contract the service ingest
-        boundary (:func:`repro.service.sharding.partition_batch`) enforces
-        -- so a chunk can cross thread and wire boundaries without
-        re-validation.
+        finite and non-negative, so a chunk can cross thread and wire
+        boundaries without re-validation: the shard layer and the window
+        ring take chunks only and admit nothing themselves.
     """
 
     ids: np.ndarray
@@ -518,11 +517,25 @@ def _trusted_chunk(
     return chunk
 
 
+def require_chunk(value: object, consumer: str) -> None:
+    """Admit only encoded chunks at ``consumer``, a layer below the wire.
+
+    The shard layer and the window ring take tokens the codec already
+    admitted; a plain sequence raises ``TypeError`` here, before any state
+    changes, instead of skipping admission.
+    """
+    if not isinstance(value, EncodedChunk):
+        raise TypeError(
+            f"{consumer} takes an EncodedChunk, got {type(value).__name__}; "
+            "encode tokens with TokenCodec.encode_chunk"
+        )
+
+
 def partition_chunk(chunk: EncodedChunk, num_shards: int) -> list[EncodedChunk]:
     """Hash-partition a chunk into ``num_shards`` sub-chunks (same codec).
 
-    The single columnar fan-out kernel shared by in-process sharding
-    (:func:`repro.service.sharding.partition_batch`) and cross-site
+    The one placement kernel, shared by in-process sharding and crash
+    recovery (:func:`repro.service.sharding.partition_batch`) and cross-site
     partitioning (:func:`repro.distributed.partition.hash_partition_chunk`),
     so both layers route with exactly the same placement: one vectorised
     ``shard_array`` call over the chunk's cached fingerprints.  Shards that

@@ -7,19 +7,22 @@ with the shards' own ``(A, B)`` k-tail guarantee -- no merge, no loss of
 certified error bounds; snapshot files and crash recovery keep the same
 union.  Where inputs overlap in key space (window buckets, offline
 merges) the paper's ``(3A, A+B)`` merge (Theorem 11) combines them
-instead.  The pipeline is::
+instead.  Tokens are admitted once, when a ``TokenCodec`` interns them
+into an ``EncodedChunk``; everything below the wire takes chunks only.
+The pipeline is::
 
-    tokens --> ShardedSummarizer (hash-partitioned shard summaries,
-           |                      batched updates applied inline)
-           +-> WindowedSummarizer (ring-buffered per-bucket summaries)
+    chunk --> ShardedSummarizer (hash-partitioned shard summaries,
+          |                      batched updates applied inline)
+          +-> WindowedSummarizer (ring-buffered per-bucket summaries)
 
     SnapshotManager: shard copies --union (owner shards)--> versioned Snapshot
     Snapshot / WindowAnswer: point, top-k, heavy-hitters queries
     server/client: NDJSON lines + binary ingest frames, one TCP socket,
                    one server ingest path (decode -> WAL -> shards)
 
-* :mod:`repro.service.sharding` -- hash-sharded ingestion (shard
-  summaries behind per-shard locks, each chunk applied inline);
+* :mod:`repro.service.sharding` -- hash-sharded ingestion of encoded
+  chunks (shard summaries behind per-shard locks, each chunk split by
+  ``partition_batch`` and applied inline);
 * :mod:`repro.service.snapshots` -- versioned, persisted, queryable
   snapshots carrying the shards' own guarantee;
 * :mod:`repro.service.windows` -- sliding-window heavy hitters over

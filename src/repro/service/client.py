@@ -62,7 +62,6 @@ from repro.service.wire import (
     BINARY_MIN_PROTOCOL,
     SOCKET_FRAME_INGEST,
     SOCKET_FRAME_RESPONSE,
-    SOCKET_MAGIC,
     FrameError,
     encode_socket_frame,
     read_socket_frame,
@@ -277,25 +276,12 @@ class ServiceClient:
     def _read_frame_response(self) -> dict[str, Any]:
         """Read the response to one binary frame, raising on errors.
 
-        A frame-capable server always answers a frame with a RESPONSE
-        frame; an NDJSON-only deployment answers with one JSON error line
-        instead (its first byte cannot be the frame magic), which is
-        surfaced verbatim as :class:`ServiceError`.
+        Every protocol-4 server answers a frame with a RESPONSE frame; a
+        reply that is not a frame (bad magic, truncated, oversized) is
+        raised as :class:`ServiceError`.
         """
-        first = self._reader.read(1)
-        if not first:
-            raise ServiceError("connection closed by the service")
-        if first[0] != SOCKET_MAGIC:
-            line = first + self._reader.readline()
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ServiceError(
-                    "malformed response to a binary ingest frame"
-                ) from error
-            raise ServiceError(payload.get("error", "unknown service error"))
         try:
-            frame_type, payload = read_socket_frame(self._reader, magic_consumed=True)
+            frame_type, payload = read_socket_frame(self._reader)
         except FrameError as error:
             raise ServiceError(str(error)) from error
         if frame_type != SOCKET_FRAME_RESPONSE:

@@ -8,10 +8,11 @@ checkpoint's position, so
     recovered state  =  load checkpoint  +  replay newer frames
 
 reconstructs the per-shard summaries the crashed process held: replay
-routes each chunk with the same vectorised placement and applies it
-through the same ``update_batch`` fast path, so a replay from empty is
-bit-identical to live ingestion of the same chunk sequence, and a replay
-on top of a checkpoint preserves every estimate and per-item error bound
+splits each chunk with the :func:`~repro.service.sharding.partition_batch`
+that live ingest uses and applies each part through the same
+``update_batch`` fast path, so a replay from empty is bit-identical to
+live ingestion of the same chunk sequence, and a replay on top of a
+checkpoint preserves every estimate and per-item error bound
 (the checkpoint round trip rebuilds acceleration structures only, see
 :mod:`repro.serialization`).  Torn final frames are truncated -- only
 frames that were fully on disk are replayed, which under
@@ -164,7 +165,8 @@ def recover(
     recovered shards are combined by their union.
 
     Raises :class:`RecoveryError` when the directory holds no recoverable
-    state or the configuration cannot be resolved, and
+    state, the configuration cannot be resolved, or ``k`` (given or read
+    from the manifest) is below 1, and
     :class:`~repro.service.wal.WalError` for genuine log corruption
     (anything beyond a torn final tail).
     """
@@ -187,6 +189,8 @@ def recover(
         raise RecoveryError(f"num_shards must be >= 1, got {num_shards}")
     if k is None:
         k = int(manifest.get("k", 10)) if manifest else 10
+    if k < 1:
+        raise RecoveryError(f"k must be >= 1, got {k}")
     if window_buckets is None:
         window_buckets = int(manifest.get("window_buckets", 0)) if manifest else 0
 
@@ -197,9 +201,7 @@ def recover(
     resumed_from: WalPosition | None = None
     window: WindowedSummarizer | None = None
     if window_buckets > 0:
-        window = WindowedSummarizer(
-            make_estimator, num_buckets=window_buckets, k=max(1, k)
-        )
+        window = WindowedSummarizer(make_estimator, num_buckets=window_buckets, k=k)
     if checkpoint is not None:
         payload, path = checkpoint
         shard_payloads = payload["shards"]
@@ -241,10 +243,8 @@ def recover(
     for record in iter_wal(wal_dir, start=resumed_from, stats=scan):
         if record.frame_type == FRAME_CHUNK:
             chunk = decode_chunk_record(record, codec)
-            for shard_id, (sub_chunk, sub_weights) in partition_batch(
-                chunk, num_shards
-            ).items():
-                estimators[shard_id].update_batch(sub_chunk, sub_weights)
+            for shard_id, part in partition_batch(chunk, num_shards).items():
+                estimators[shard_id].update_batch(part)
             if window is not None:
                 window.update_batch(chunk)
             chunks_replayed += 1
@@ -261,7 +261,7 @@ def recover(
     return RecoveryResult(
         estimators=estimators,
         window=window,
-        k=max(1, k),
+        k=k,
         checkpoint_version=checkpoint_version,
         resumed_from=resumed_from,
         replayed_to=replayed_to,

@@ -49,8 +49,8 @@ Admission control is amortised into the columnar codec: each ingest chunk
 is interned through a :class:`~repro.engine.codec.TokenCodec`, which
 validates every *new* vocabulary entry exactly once (wire format v2)
 instead of re-checking each token occurrence in a per-item Python loop,
-and the encoded chunk fans out to the shards with one vectorised
-``shard_array`` call.
+and the encoded chunk fans out to the shards with one
+``partition_chunk`` call.
 
 Snapshot-backed answers carry the shards' own ``(A, B)`` guarantee
 constants (each key is answered by its owner shard); window answers carry

@@ -10,6 +10,13 @@ and crash recovery all combine the shards by their union
 (:class:`~repro.core.merging.DisjointUnion`); the ``(3A, A+B)`` merge of
 Theorem 11 is left to summaries whose key spaces overlap.
 
+The shard layer takes admitted chunks only: :meth:`ShardedSummarizer.ingest`
+accepts an :class:`~repro.engine.codec.EncodedChunk`, whose
+:class:`~repro.engine.codec.TokenCodec` admitted every token and weight
+at intern time, and raises ``TypeError`` on anything else.  Placement is
+one kernel, :func:`repro.engine.codec.partition_chunk`, reached through
+:func:`partition_batch` by the live shards and by crash recovery alike.
+
 :class:`ShardedSummarizer` keeps each shard as a summary behind a lock
 in this interpreter.  :meth:`ShardedSummarizer.ingest` partitions the
 chunk and applies each part under its shard's lock, in the caller's
@@ -25,16 +32,17 @@ An explicit ``backend="process"`` instead puts each shard in a
 ``multiprocessing`` worker process fed over a pipe carrying the
 CRC-framed chunk records of :func:`repro.service.wal.encode_chunk_record`.
 Every worker receives the full record and applies only its own sub-chunk
-(placement via the same vectorised ``shard_array``, so summaries are
+(placement via the same ``partition_chunk``, so summaries are
 bit-identical between backends), and answers snapshot/checkpoint
 requests with :func:`repro.serialization.dump` payloads.  A worker that
 dies is restarted with an empty summary and its error surfaces on the
 next call.  It is kept only as a measured comparison row: it loses to
 one thread shard on every benchmark so far.
 
-Tokens are routed with :func:`shard_for` (a stable fingerprint modulo the
-shard count, the same placement rule :mod:`repro.distributed.partition`
-uses for cross-site hash partitioning, so in-process shards, worker
+Tokens are routed by :func:`shard_for` (a stable fingerprint modulo the
+shard count; ``partition_chunk`` computes it over a chunk's cached
+fingerprint column, and :mod:`repro.distributed.partition` uses the same
+rule for cross-site hash partitioning, so in-process shards, worker
 processes and remote sites all agree on who owns an item).
 
 Shard summaries are read either live (:meth:`shard_summaries`, after a
@@ -56,7 +64,6 @@ from __future__ import annotations
 
 import atexit
 import json
-import math
 import multiprocessing
 
 # `multiprocessing.util` registers the atexit reaper that terminates
@@ -77,11 +84,9 @@ import time
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.algorithms.base import FrequencyEstimator, Item
-from repro.engine.codec import EncodedChunk, TokenCodec, partition_chunk, validate_tokens
-from repro.sketches.hashing import fingerprint_array, shard_array, shard_for
+from repro.engine.codec import EncodedChunk, TokenCodec, partition_chunk, require_chunk
+from repro.sketches.hashing import shard_for
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from multiprocessing.connection import Connection
@@ -110,99 +115,26 @@ _LIVENESS_POLL_SECONDS = 0.05
 _CLOSE_JOIN_SECONDS = 10.0
 
 
-#: One shard's batch: a plain ``(items, weights)`` pair or an encoded
-#: columnar sub-chunk (whose weights, if any, travel inside the chunk).
-ShardBatch = tuple[Sequence[Item] | EncodedChunk, Sequence[float] | None]
+def partition_batch(chunk: EncodedChunk, num_shards: int) -> dict[int, EncodedChunk]:
+    """Split an admitted chunk into its non-empty per-shard parts.
 
-
-def partition_batch(
-    items: Sequence[Item] | EncodedChunk,
-    num_shards: int,
-    weights: Sequence[float] | None = None,
-) -> dict[int, ShardBatch]:
-    """Split a chunk of tokens into per-shard ``(items, weights)`` batches.
-
-    Placement is one vectorised ``shard_array`` call over the chunk's
-    fingerprint column -- bit-identical to per-item :func:`shard_for`.  An
-    :class:`~repro.engine.codec.EncodedChunk` is partitioned into per-shard
-    sub-chunks sharing its codec (no re-encoding); NumPy item arrays stay
-    arrays; plain sequences come back as lists, exactly as before.
-
-    Only shards that actually receive tokens appear in the result.  Negative
-    and non-finite weights -- and tokens the wire format cannot carry
-    (:func:`repro.engine.codec.validate_tokens`) -- are rejected *here*,
-    before any shard applies a part, so a bad token fails the whole chunk
-    instead of part of it, poisoning a later snapshot serialisation, or
-    (for NaN) silently corrupting a shard's counters.
-    Encoded chunks were already validated at construction: their codec runs
-    admission control at intern time.
+    Placement is :func:`repro.engine.codec.partition_chunk`, the one
+    placement kernel (bit-identical to per-item :func:`shard_for`); the
+    parts share the chunk's codec, so nothing is re-encoded.  One shard
+    takes the chunk itself, without a copy.  Only shards that receive
+    tokens appear in the result.  The live thread shards and crash
+    recovery both route through here, so replay places every token where
+    live ingest did.
     """
-    if isinstance(items, EncodedChunk):
-        if weights is not None:
-            raise ValueError("weights must be None when partitioning an EncodedChunk")
-        if len(items) == 0:
-            return {}
-        if num_shards == 1:
-            return {0: (items, None)}
-        return {
-            shard: (sub_chunk, None)
-            for shard, sub_chunk in enumerate(partition_chunk(items, num_shards))
-            if len(sub_chunk)
-        }
-    if isinstance(items, np.ndarray) and items.dtype.kind == "O":
-        # Mixed-type object arrays cannot go through np.unique in a shard
-        # worker; route them like a plain Python sequence.
-        items = items.tolist()
-    validate_tokens(items)
-    if weights is not None:
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have the same length")
-        if isinstance(weights, np.ndarray):
-            if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-                raise ValueError("weights must be finite and non-negative")
-        else:
-            for weight in weights:
-                if weight < 0 or not math.isfinite(weight):
-                    raise ValueError(
-                        f"weights must be finite and non-negative, got {weight}"
-                    )
-    if num_shards == 1:
-        if not len(items):
-            return {}
-        if isinstance(items, np.ndarray):
-            return {0: (items, weights)}
-        batch_weights = list(weights) if weights is not None else None
-        return {0: (list(items), batch_weights)}
-    if not len(items):
+    if len(chunk) == 0:
         return {}
-    shard_ids = shard_array(fingerprint_array(items), num_shards)
-    if isinstance(items, np.ndarray):
-        weight_array = None if weights is None else np.asarray(weights)
-        parts_arrays: dict[int, ShardBatch] = {}
-        for shard in np.unique(shard_ids):
-            mask = shard_ids == shard
-            parts_arrays[int(shard)] = (
-                items[mask],
-                None if weight_array is None else weight_array[mask],
-            )
-        return parts_arrays
-    parts: dict[int, tuple[list[Item], list[float] | None]] = {}
-    if weights is None:
-        for item, shard in zip(items, shard_ids.tolist(), strict=True):
-            entry = parts.get(shard)
-            if entry is None:
-                entry = ([], None)
-                parts[shard] = entry
-            entry[0].append(item)
-        return parts
-    for item, weight, shard in zip(items, weights, shard_ids.tolist(), strict=True):
-        entry = parts.get(shard)
-        if entry is None:
-            entry = ([], [])
-            parts[shard] = entry
-        entry[0].append(item)
-        entry[1].append(weight)
-    return parts
+    if num_shards == 1:
+        return {0: chunk}
+    return {
+        shard: part
+        for shard, part in enumerate(partition_chunk(chunk, num_shards))
+        if len(part)
+    }
 
 
 class _Shard:
@@ -217,15 +149,14 @@ class _Shard:
         self.batches_applied = 0
         self.batches_failed = 0
 
-    def apply(self, batch: ShardBatch, trace: "Trace | None") -> bool:
+    def apply(self, part: EncodedChunk, trace: "Trace | None") -> bool:
         """Apply one part in the caller's thread; False if it was dropped."""
-        items, weights = batch
         if trace is not None:
             started = time.perf_counter()
         try:
             with self.lock:
-                self.estimator.update_batch(items, weights)
-                self.tokens_applied += len(items)
+                self.estimator.update_batch(part)
+                self.tokens_applied += len(part)
                 self.batches_applied += 1
         # repro-lint: boundary inline shard apply; the failed part is dropped and its error surfaces on the next ingest/flush
         except Exception as exc:
@@ -241,7 +172,7 @@ class _Shard:
                 "shard_apply",
                 time.perf_counter() - started,
                 shard=self.shard_id,
-                tokens=len(items),
+                tokens=len(part),
             )
         return True
 
@@ -273,8 +204,7 @@ class _ThreadShardBackend:
 
     def dispatch(
         self,
-        items: Sequence[Item] | EncodedChunk,
-        weights: Sequence[float] | None,
+        chunk: EncodedChunk,
         trace: "Trace | None",
         record: bytes | None,
         account: Callable[[int, int], None],
@@ -282,10 +212,10 @@ class _ThreadShardBackend:
         # The pre-framed record (when the caller has one) is a WAL/wire
         # concern; the thread backend applies the in-memory chunk.
         del record
-        for shard_id, batch in partition_batch(items, self.num_shards, weights).items():
-            if self.shards[shard_id].apply(batch, trace):
-                account(len(batch[0]), 1)
-        return len(items)
+        for shard_id, part in partition_batch(chunk, self.num_shards).items():
+            if self.shards[shard_id].apply(part, trace):
+                account(len(part), 1)
+        return len(chunk)
 
     # -- barriers and errors ------------------------------------------- #
 
@@ -411,7 +341,7 @@ def _shard_process_main(
     Decodes each CRC-framed chunk record against its own codec (the
     record carries the compacted vocabulary, so no codec object crosses
     the process boundary), selects its own sub-chunk with the shared
-    ``shard_array`` placement, and applies it through ``update_batch`` --
+    ``partition_chunk`` placement, and applies it through ``update_batch`` --
     the same two calls the thread backend makes, so per-shard summaries
     are bit-identical between backends.
     """
@@ -591,11 +521,6 @@ class _ProcessShardBackend:
         self.queue_depth = queue_depth
         self.slots = [_ProcessShardSlot(shard_id) for shard_id in range(num_shards)]
         self._restored: list[FrequencyEstimator] | None = None
-        # Producer-side codec for plain-sequence ingest (the server hands
-        # us pre-encoded chunks/records; tests and benches may not).
-        # Interning is not thread-safe, hence the lock.
-        self._codec = TokenCodec()
-        self._codec_lock = threading.Lock()
         # repro-lint: allow[L006] single-writer: close()/_atexit_close() are the only writers, reader threads only read
         self._closing = False
         self._restart_threads: list[threading.Thread] = []
@@ -822,30 +747,18 @@ class _ProcessShardBackend:
 
     def dispatch(
         self,
-        items: Sequence[Item] | EncodedChunk,
-        weights: Sequence[float] | None,
+        chunk: EncodedChunk,
         trace: "Trace | None",
         record: bytes | None,
         account: Callable[[int, int], None],
     ) -> int:
+        count = len(chunk)
+        if count == 0:
+            return 0
         if record is None:
-            if isinstance(items, EncodedChunk):
-                if weights is not None:
-                    raise ValueError(
-                        "weights must be None when ingesting an EncodedChunk"
-                    )
-                chunk = items
-            else:
-                with self._codec_lock:
-                    chunk = self._codec.encode_chunk(items, weights)
             from repro.service.wal import encode_chunk_record
 
             record = encode_chunk_record(chunk)
-            count = len(chunk)
-        else:
-            count = len(items)
-        if count == 0:
-            return 0
         first_error: RuntimeError | None = None
         accounted_tokens = False
         for slot in self.slots:
@@ -1072,8 +985,10 @@ class ShardedSummarizer:
     Examples
     --------
     >>> from repro.algorithms import SpaceSaving
+    >>> from repro.engine.codec import TokenCodec
+    >>> chunk = TokenCodec().encode_chunk(["a", "b", "a", "c"])
     >>> with ShardedSummarizer(lambda: SpaceSaving(64), num_shards=2) as sharded:
-    ...     _ = sharded.ingest(["a", "b", "a", "c"])
+    ...     _ = sharded.ingest(chunk)
     ...     total = sharded.stream_length
     >>> total
     4.0
@@ -1188,32 +1103,32 @@ class ShardedSummarizer:
 
     def ingest(
         self,
-        items: Sequence[Item] | EncodedChunk,
-        weights: Sequence[float] | None = None,
+        chunk: EncodedChunk,
+        *,
         trace: Trace | None = None,
         record: bytes | None = None,
     ) -> int:
-        """Route a chunk of tokens to their shards; returns tokens routed.
+        """Route an admitted chunk to its shards; returns tokens routed.
 
-        ``items`` may be a plain sequence, a NumPy array, or an
-        :class:`~repro.engine.codec.EncodedChunk` (with ``weights=None``);
-        encoded chunks are fan-out partitioned with one vectorised
-        ``shard_array`` call and each shard applies its sub-chunk through
-        the columnar ``update_batch`` path.  Shards only *read* the
-        chunk's codec, so one codec may feed every shard -- but interning
-        (``encode_chunk``) is not thread-safe: encode on a single producer
-        thread, or give each producer its own codec, or serialise encoding
-        externally (see :class:`~repro.engine.codec.TokenCodec`).
+        ``chunk`` is an :class:`~repro.engine.codec.EncodedChunk`: its
+        codec admitted every token and weight at intern time, so the shard
+        layer does no admission of its own.  Anything else raises
+        ``TypeError`` before any shard changes; encode token lists with
+        :meth:`~repro.engine.codec.TokenCodec.encode_chunk`.  Shards only
+        *read* the chunk's codec, so one codec may feed every shard -- but
+        interning is not thread-safe: encode on a single producer thread,
+        or give each producer its own codec.
 
         ``record`` -- the pre-framed :func:`wal.encode_chunk_record` bytes
-        of ``items`` when the caller already built (or received) them --
+        of ``chunk`` when the caller already built (or received) them --
         lets the process backend forward the exact client/WAL bytes to the
         worker pipes with no re-serialisation; the thread backend ignores
         it.
 
-        Thread backend: every part is applied under its shard's lock
-        before this call returns.  A part whose ``update_batch`` raises is
-        dropped and recorded as that shard's error, which the next
+        Thread backend: the chunk is split by :func:`partition_batch` and
+        every part is applied under its shard's lock before this call
+        returns.  A part whose ``update_batch`` raises is dropped and
+        recorded as that shard's error, which the next
         ingest/:meth:`flush`/:meth:`raise_pending_errors` raises.  Process
         backend: the record is sent to every worker and applied
         asynchronously; a send blocks while a worker has ``queue_depth``
@@ -1221,10 +1136,11 @@ class ShardedSummarizer:
         worker is dead rather than blocking forever.
 
         A sampled ``trace`` (see :mod:`repro.service.tracing`) rides
-        along with each sub-batch and gets a ``shard_apply`` span per part
+        along with each part and gets a ``shard_apply`` span per part
         applied: before this call returns on threads, possibly after it
         on the process backend.
         """
+        require_chunk(chunk, "ShardedSummarizer.ingest")
         with self._state:
             if not self._started or self._closed:
                 raise RuntimeError(
@@ -1233,9 +1149,7 @@ class ShardedSummarizer:
             self._active_producers += 1
         try:
             self._raise_pending_errors()
-            return self._backend.dispatch(
-                items, weights, trace, record, self._account
-            )
+            return self._backend.dispatch(chunk, trace, record, self._account)
         finally:
             with self._state:
                 self._active_producers -= 1
@@ -1252,20 +1166,6 @@ class ShardedSummarizer:
         with self._state:
             self.tokens_enqueued += tokens
             self.batches_enqueued += batches
-
-    def ingest_weighted(
-        self,
-        pairs: Sequence[tuple[Item, float]],
-        trace: Trace | None = None,
-    ) -> int:
-        """Route ``(item, weight)`` pairs to their shards.
-
-        A sampled ``trace`` is forwarded exactly as in :meth:`ingest`, so
-        weighted requests record their ``shard_apply`` spans too.
-        """
-        items = [item for item, _ in pairs]
-        weights = [weight for _, weight in pairs]
-        return self.ingest(items, weights, trace=trace)
 
     def flush(self) -> None:
         """Block until every ingested chunk has been applied to its shard.

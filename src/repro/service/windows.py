@@ -15,9 +15,11 @@ window's combined frequency vector (a single-bucket window keeps the sharp
 ``(A, B)`` constants -- no merge happens).  The window boundary itself is
 exact at bucket granularity: answers cover whole buckets, never fractions.
 
-Bucket copies travel through the v2 wire format, so windows answer queries
-over structured tokens (flow 5-tuples, bytes, bools, None) exactly like
-the snapshot path does.
+Buckets take admitted chunks only (:meth:`WindowedSummarizer.update_batch`):
+the codec that built a chunk admitted its tokens and weights, so bucket
+copies travel through the v2 wire format and windows answer queries over
+structured tokens (flow 5-tuples, bytes, bools, None) exactly like the
+snapshot path does.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from repro import serialization
 from repro.algorithms.base import FrequencyEstimator, Item
-from repro.engine.codec import EncodedChunk, validate_token, validate_tokens
+from repro.engine.codec import EncodedChunk, require_chunk
 from repro.core.bounds import k_tail_bound
 from repro.core.merging import merge_summaries
 from repro.core.tail_guarantee import GuaranteeCheck, TailGuarantee
@@ -136,9 +138,11 @@ class WindowedSummarizer:
     Examples
     --------
     >>> from repro.algorithms import SpaceSaving
+    >>> from repro.engine.codec import TokenCodec
+    >>> codec = TokenCodec()
     >>> windowed = WindowedSummarizer(lambda: SpaceSaving(16), num_buckets=3)
     >>> for bucket in range(4):
-    ...     windowed.update_batch([f"item-{bucket}"] * (bucket + 1))
+    ...     windowed.update_batch(codec.encode_chunk([f"item-{bucket}"] * (bucket + 1)))
     ...     _ = windowed.advance()
     >>> windowed.query(window=3).estimate("item-0")  # bucket 0 expired
     0.0
@@ -176,30 +180,17 @@ class WindowedSummarizer:
         with self._lock:
             return self._buckets[-1].bucket_id
 
-    def update(self, item: Item, weight: float = 1.0) -> None:
-        """Record one token in the current bucket.
+    def update_batch(self, chunk: EncodedChunk) -> None:
+        """Record an admitted chunk in the current bucket.
 
-        An ingest boundary: bucket copies travel through the wire format at
-        query time, so an uncarriable token is rejected here, synchronously,
-        instead of poisoning a later window merge.
+        The chunk's codec admitted its tokens and weights at intern time,
+        so every bucket copy can cross the wire format at query time.
+        Anything but an :class:`~repro.engine.codec.EncodedChunk` raises
+        ``TypeError`` before the bucket changes.
         """
-        validate_token(item)
+        require_chunk(chunk, "WindowedSummarizer.update_batch")
         with self._lock:
-            self._buckets[-1].estimator.update(item, weight)
-
-    def update_batch(
-        self, items: Sequence[Item], weights: Sequence[float] | None = None
-    ) -> None:
-        """Record a chunk of tokens in the current bucket (batched path).
-
-        Applies the same admission control as :meth:`update`, amortised per
-        distinct token; encoded chunks were already validated by their
-        codec at intern time.
-        """
-        if not isinstance(items, EncodedChunk):
-            validate_tokens(items)
-        with self._lock:
-            self._buckets[-1].estimator.update_batch(items, weights)
+            self._buckets[-1].estimator.update_batch(chunk)
 
     def advance(self, steps: int = 1) -> int:
         """Close the current bucket and open ``steps`` new ones.

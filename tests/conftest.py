@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms.frequent import Frequent
 from repro.algorithms.space_saving import SpaceSaving, SpaceSavingHeap
 from repro.analysis import witness as lock_witness
+from repro.engine.codec import TokenCodec
 from repro.streams.generators import heavy_plus_noise_stream, uniform_stream, zipf_stream
 
 
@@ -26,6 +27,18 @@ def _lock_order_witness():
     active = lock_witness.LockWitness()
     with lock_witness.installed_witness(active):
         yield active
+
+
+@pytest.fixture
+def encode():
+    """``encode(items, weights=None)``: a token list as an ``EncodedChunk``.
+
+    The shard layer and the window ring take admitted chunks only.  One
+    codec serves the whole test, as one server codec feeds every shard;
+    interning is not thread-safe, so concurrent producers each need a
+    codec of their own.
+    """
+    return TokenCodec().encode_chunk
 
 
 @pytest.fixture(scope="session")

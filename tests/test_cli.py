@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +360,29 @@ class TestCliErrorPaths:
             main(["recover", "--wal-dir", str(corrupt)])
         message = self._assert_one_line(excinfo)
         assert "recovery failed" in message and "magic" in message
+
+    def test_recover_rejects_k_below_one(self, tmp_path):
+        wal = tmp_path / "wal-torn"
+        shutil.copytree(Path(__file__).parent / "data" / "wal-torn", wal)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["recover", "--wal-dir", str(wal), "--k", "0"])
+        message = self._assert_one_line(excinfo)
+        assert "recovery failed" in message and "k must be >= 1, got 0" in message
+
+    @pytest.mark.parametrize(
+        "argv", [["--phi", "2"], ["--phi", "0"], ["--phi", "0.1", "--epsilon", "0.5"]]
+    )
+    def test_heavy_hitters_rejects_out_of_range_phi(self, workload_file, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["heavy-hitters", str(workload_file), *argv])
+        assert "must lie in" in self._assert_one_line(excinfo)
+
+    def test_merge_rejects_k_below_one(self, workload_file, tmp_path):
+        summary = tmp_path / "a.json"
+        main(["summarize", str(workload_file), "--output", str(summary)])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["merge", str(summary), str(summary), "--k", "0"])
+        assert "--k must be >= 1, got 0" in self._assert_one_line(excinfo)
 
     def test_serve_refuses_corrupt_wal_dir(self, tmp_path):
         from repro.service.wal import write_manifest

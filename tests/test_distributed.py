@@ -157,13 +157,13 @@ class TestPlacementAgreement:
             for item in part.frequencies():
                 assert shard_for(item, 4) == site
 
-    def test_sharded_summarizer_agrees_with_hash_partition(self, zipf_medium):
+    def test_sharded_summarizer_agrees_with_hash_partition(self, zipf_medium, encode):
         from repro.service.sharding import ShardedSummarizer
         from repro.streams.exact import ExactCounter
 
         parts = hash_partition(zipf_medium, 4)
         with ShardedSummarizer(ExactCounter, num_shards=4) as sharded:
-            sharded.ingest(zipf_medium.items)
+            sharded.ingest(encode(zipf_medium.items))
             summaries = sharded.shard_summaries()
             for part, summary in zip(parts, summaries):
                 assert summary.counters() == part.frequencies()

@@ -265,6 +265,8 @@ class TestEncodedChunk:
         with pytest.raises(ValueError):
             codec.encode_chunk(["a"], [float("inf")])
         with pytest.raises(ValueError):
+            codec.encode_chunk(["a"], [float("-inf")])
+        with pytest.raises(ValueError):
             codec.encode_chunk(["a", "b"], [1.0])
 
     def test_bookkeeping_helpers(self):
@@ -419,51 +421,29 @@ class TestVectorisedSharding:
         st.lists(MIXED_ITEMS, max_size=60),
         st.integers(min_value=1, max_value=8),
     )
-    def test_partition_batch_list_placement(self, items, num_shards):
-        parts = partition_batch(items, num_shards)
+    def test_partition_batch_chunk_placement(self, items, num_shards):
+        chunk = TokenCodec().encode_chunk(items)
+        parts = partition_batch(chunk, num_shards)
         rebuilt = []
-        for shard_id, (shard_items, shard_weights) in parts.items():
-            assert shard_weights is None
-            assert shard_items  # empty shards are omitted
-            for item in shard_items:
+        for shard_id, part in parts.items():
+            assert part.weights is None
+            assert part.codec is chunk.codec
+            assert len(part)  # empty shards are omitted
+            for item in part:
                 assert shard_for(item, num_shards) == shard_id
-            rebuilt.extend(shard_items)
+            rebuilt.extend(part.ids.tolist())
         # each shard preserves arrival order; the union preserves multiset
-        assert sorted(map(repr, rebuilt)) == sorted(map(repr, items))
-
-    def test_partition_batch_ndarray_and_chunk_agree_with_list(self):
-        rng = np.random.default_rng(4)
-        values = rng.integers(0, 500, size=1000)
-        weights = rng.integers(0, 4, size=1000).astype(np.float64)
-        as_list = partition_batch(values.tolist(), 4, weights.tolist())
-        as_array = partition_batch(values, 4, weights)
-        codec = TokenCodec()
-        as_chunk = partition_batch(codec.encode_chunk(values, weights), 4)
-        assert set(as_list) == set(as_array) == set(as_chunk)
-        for shard in as_list:
-            list_items, list_weights = as_list[shard]
-            array_items, array_weights = as_array[shard]
-            chunk, none_weights = as_chunk[shard]
-            assert none_weights is None
-            assert array_items.tolist() == list_items == chunk.items()
-            assert array_weights.tolist() == list_weights == chunk.weights.tolist()
-
-    def test_partition_batch_rejects_bad_weights(self):
-        for bad in ([-1.0], [float("nan")], [float("inf")]):
-            with pytest.raises(ValueError):
-                partition_batch(["a"], 2, bad)
-            with pytest.raises(ValueError):
-                partition_batch(np.array([1]), 2, np.array(bad))
+        assert sorted(rebuilt) == sorted(chunk.ids.tolist())
 
     def test_object_dtype_arrays_route_like_sequences(self):
         # Regression: mixed-type object arrays must not reach np.unique in a
-        # shard worker (sort across str/int raises TypeError).
+        # shard worker (sort across str/int raises TypeError).  The codec
+        # interns them like a plain sequence.
         mixed = np.array(["a", 1, "b", 2, "a"], dtype=object)
-        parts = partition_batch(mixed, 2)
-        rebuilt = [item for shard_items, _ in parts.values() for item in shard_items]
-        assert sorted(map(repr, rebuilt)) == sorted(map(repr, mixed.tolist()))
+        chunk = TokenCodec().encode_chunk(mixed)
+        assert chunk.items() == mixed.tolist()
         with ShardedSummarizer(lambda: SpaceSaving(8), num_shards=2) as sharded:
-            sharded.ingest(mixed)
+            sharded.ingest(chunk)
             sharded.flush()
             assert sharded.stream_length == 5.0
         assert aggregate_batch(mixed) == {"a": 2.0, 1: 1.0, "b": 1.0, 2: 1.0}

@@ -159,11 +159,12 @@ def feed_wire_round_trip(factory, pairs, weighted):
 
 
 def feed_sharded_merged(factory, pairs, weighted, num_shards=4):
+    codec = TokenCodec()
     with ShardedSummarizer(factory, num_shards=num_shards) as sharded:
         for chunk in iter_chunks(pairs, CHUNK_SIZE):
             items = [item for item, _ in chunk]
             weights = [weight for _, weight in chunk] if weighted else None
-            sharded.ingest(items, weights)
+            sharded.ingest(codec.encode_chunk(items, weights))
         sharded.flush()
         copies = sharded.snapshot_summaries()
     return merge_summaries(copies, k=K, make_estimator=factory)

@@ -5,6 +5,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import serialization
@@ -12,6 +13,7 @@ from repro.algorithms.space_saving import SpaceSaving
 from repro.cli import main
 from repro.core.merging import DisjointUnion, merge_summaries
 from repro.core.tail_guarantee import TailGuarantee
+from repro.engine.codec import TokenCodec
 from repro.metrics.error import max_error, residual
 from repro.service import snapshots as snapshots_module
 from repro.service import (
@@ -43,55 +45,40 @@ class TestShardFor:
 
 
 class TestPartitionBatch:
-    def test_preserves_multiset(self):
+    def test_preserves_multiset(self, encode):
         items = ["a", "b", "a", "c", "d", "a"]
-        parts = partition_batch(items, 3)
+        parts = partition_batch(encode(items), 3)
         rebuilt = collections.Counter()
-        for shard_id, (shard_items, shard_weights) in parts.items():
-            assert shard_weights is None
-            for item in shard_items:
+        for shard_id, part in parts.items():
+            assert part.weights is None
+            assert len(part)  # shards that receive nothing are omitted
+            for item in part:
                 assert shard_for(item, 3) == shard_id
-            rebuilt.update(shard_items)
+            rebuilt.update(part.items())
         assert rebuilt == collections.Counter(items)
 
-    def test_weighted_batches_stay_parallel(self):
-        items = ["a", "b", "a", "c"]
-        weights = [1.0, 2.0, 3.0, 4.0]
-        parts = partition_batch(items, 2, weights)
+    def test_weighted_batches_stay_parallel(self, encode):
+        parts = partition_batch(encode(["a", "b", "a", "c"], [1.0, 2.0, 3.0, 4.0]), 2)
         totals = collections.defaultdict(float)
-        for shard_items, shard_weights in parts.values():
-            assert len(shard_items) == len(shard_weights)
-            for item, weight in zip(shard_items, shard_weights):
+        for part in parts.values():
+            for item, weight in zip(part.items(), part.weights.tolist(), strict=True):
                 totals[item] += weight
         assert totals == {"a": 4.0, "b": 2.0, "c": 4.0}
 
-    def test_single_shard_short_circuits(self):
-        parts = partition_batch(["x", "y"], 1)
+    def test_single_shard_short_circuits(self, encode):
+        chunk = encode(["x", "y"])
+        parts = partition_batch(chunk, 1)
         assert list(parts) == [0]
-        assert parts[0][0] == ["x", "y"]
-        assert partition_batch([], 1) == {}
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            partition_batch(["a"], 2, [1.0, 2.0])
-
-    def test_negative_weights_rejected_before_enqueue(self):
-        with pytest.raises(ValueError, match="negative"):
-            partition_batch(["a", "b"], 2, [1.0, -1.0])
-        with pytest.raises(ValueError, match="negative"):
-            partition_batch(["a"], 1, [-2.0])
-
-    def test_non_finite_weights_rejected_before_enqueue(self):
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match="finite"):
-                partition_batch(["a"], 2, [bad])
+        assert parts[0] is chunk  # no copy
+        assert partition_batch(encode([]), 1) == {}
+        assert partition_batch(encode([]), 3) == {}
 
 
 class TestShardedSummarizer:
-    def test_totals_match_exact_counts(self, zipf_medium):
+    def test_totals_match_exact_counts(self, zipf_medium, encode):
         with ShardedSummarizer(ExactCounter, num_shards=4) as sharded:
             for chunk in iter_chunks(zipf_medium.items, 4096):
-                sharded.ingest(chunk)
+                sharded.ingest(encode(chunk))
             sharded.flush()
             merged = collections.Counter()
             for summary in sharded.shard_summaries():
@@ -99,9 +86,9 @@ class TestShardedSummarizer:
                     merged[item] += count
         assert merged == collections.Counter(zipf_medium.items)
 
-    def test_each_shard_owns_its_items(self, zipf_medium):
+    def test_each_shard_owns_its_items(self, zipf_medium, encode):
         with ShardedSummarizer(ExactCounter, num_shards=4) as sharded:
-            sharded.ingest(zipf_medium.items)
+            sharded.ingest(encode(zipf_medium.items))
             for shard_id, summary in enumerate(sharded.shard_summaries()):
                 for item in summary.counters():
                     assert shard_for(item, 4) == shard_id
@@ -111,8 +98,9 @@ class TestShardedSummarizer:
             halves = [zipf_medium.items[0::2], zipf_medium.items[1::2]]
 
             def produce(tokens):
+                codec = TokenCodec()  # interning is not thread-safe
                 for chunk in iter_chunks(tokens, 1024):
-                    sharded.ingest(chunk)
+                    sharded.ingest(codec.encode_chunk(chunk))
 
             threads = [
                 threading.Thread(target=produce, args=(half,)) for half in halves
@@ -125,23 +113,39 @@ class TestShardedSummarizer:
             assert sharded.stream_length == float(len(zipf_medium.items))
             assert sharded.tokens_enqueued == len(zipf_medium.items)
 
-    def test_weighted_ingest(self):
+    def test_weighted_ingest(self, encode):
         with ShardedSummarizer(ExactCounter, num_shards=2) as sharded:
-            sharded.ingest_weighted([("a", 2.0), ("b", 3.0), ("a", 1.0)])
+            sharded.ingest(encode(["a", "b", "a"], [2.0, 3.0, 1.0]))
             sharded.flush()
             assert sharded.stream_length == 6.0
+            merged = collections.Counter()
+            for summary in sharded.shard_summaries():
+                merged.update(summary.counters())
+            assert merged == {"a": 3.0, "b": 3.0}
 
-    def test_worker_errors_surface_on_flush(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_plain_sequences_rejected_before_any_shard_changes(self, backend, encode):
+        with ShardedSummarizer(ExactCounter, num_shards=2, backend=backend) as sharded:
+            sharded.ingest(encode(["a", "b"]))
+            for plain in (["a", "b", "c"], np.array([1, 2, 3]), ("a",)):
+                with pytest.raises(TypeError, match="TokenCodec.encode_chunk"):
+                    sharded.ingest(plain)
+            sharded.flush()
+            assert sharded.stream_length == 2.0
+            assert sharded.tokens_enqueued == 2
+            assert sum(row["tokens_applied"] for row in sharded.queue_stats()) == 2
+
+    def test_worker_errors_surface_on_flush(self, encode):
         class Exploding(ExactCounter):
             def update_batch(self, items, weights=None):
                 raise RuntimeError("boom")
 
         with ShardedSummarizer(Exploding, num_shards=2) as sharded:
-            sharded.ingest(["a", "b"])
+            sharded.ingest(encode(["a", "b"]))
             with pytest.raises(RuntimeError, match="shard"):
                 sharded.flush()
 
-    def test_worker_error_does_not_poison_the_service(self):
+    def test_worker_error_does_not_poison_the_service(self, encode):
         class ExplodesOnce(ExactCounter):
             def update_batch(self, items, weights=None):
                 if "bad" in items:
@@ -149,24 +153,24 @@ class TestShardedSummarizer:
                 super().update_batch(items, weights)
 
         with ShardedSummarizer(ExplodesOnce, num_shards=1) as sharded:
-            sharded.ingest(["bad"])
+            sharded.ingest(encode(["bad"]))
             with pytest.raises(RuntimeError, match="dropped"):
                 sharded.flush()
             # The failed batch is gone, but the service keeps working.
-            sharded.ingest(["good", "good"])
+            sharded.ingest(encode(["good", "good"]))
             sharded.flush()
             assert sharded.stream_length == 2.0
             counters = sharded.shard_summaries()[0].counters()
             assert counters == {"good": 2.0}
 
-    def test_ingest_requires_started(self):
+    def test_ingest_requires_started(self, encode):
         sharded = ShardedSummarizer(ExactCounter, num_shards=2)
         with pytest.raises(RuntimeError):
-            sharded.ingest(["a"])
+            sharded.ingest(encode(["a"]))
         sharded.start()
         sharded.close()
         with pytest.raises(RuntimeError):
-            sharded.ingest(["a"])
+            sharded.ingest(encode(["a"]))
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -176,13 +180,13 @@ class TestShardedSummarizer:
 
 
 @pytest.fixture()
-def sharded_zipf(zipf_medium):
+def sharded_zipf(zipf_medium, encode):
     """A 4-shard SpaceSaving summarizer pre-loaded with zipf_medium."""
     with ShardedSummarizer(
         lambda: SpaceSaving(num_counters=400), num_shards=4
     ) as sharded:
         for chunk in iter_chunks(zipf_medium.items, 4096):
-            sharded.ingest(chunk)
+            sharded.ingest(encode(chunk))
         sharded.flush()
         yield sharded
 
@@ -300,14 +304,14 @@ class TestSnapshotManager:
 
 
 @pytest.fixture()
-def thread_flows(zipf_medium):
+def thread_flows(zipf_medium, encode):
     """A 2-shard thread-backend summarizer holding flow 5-tuples."""
     flows = [("10.0.0.1", "10.0.0.2", int(item), 443, 6) for item in zipf_medium.items]
     with ShardedSummarizer(
         lambda: SpaceSaving(num_counters=400), num_shards=2, backend="thread"
     ) as sharded:
         for chunk in iter_chunks(flows, 4096):
-            sharded.ingest(chunk)
+            sharded.ingest(encode(chunk))
         sharded.flush()
         yield sharded
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro import serialization
 from repro.algorithms.space_saving import SpaceSaving
+from repro.engine.codec import TokenCodec
 from repro.service.server import HeavyHittersService, ServiceConfig
 from repro.service.sharding import ShardedSummarizer, shard_for
 from repro.streams.exact import ExactCounter
@@ -50,9 +51,9 @@ class SlowCounter(ExactCounter):
 class TestInlineThreadShards:
     """The thread backend applies every part in the caller's thread."""
 
-    def test_ingest_applies_before_returning(self):
+    def test_ingest_applies_before_returning(self, encode):
         with ShardedSummarizer(SlowCounter, num_shards=2) as sharded:
-            sharded.ingest([f"tok{i}" for i in range(50)])
+            sharded.ingest(encode([f"tok{i}" for i in range(50)]))
             # No flush(): the tokens are already on their shards.
             stats = sharded.queue_stats()
             assert sum(row["tokens_applied"] for row in stats) == 50
@@ -71,13 +72,13 @@ class TestInlineThreadShards:
             sharded.close()
         assert not sharded.workers_alive()
 
-    def test_sampled_trace_holds_its_spans_on_return(self):
+    def test_sampled_trace_holds_its_spans_on_return(self, encode):
         from repro.service.tracing import Trace, TraceContext
 
         trace = Trace(op="ingest", context=TraceContext.new())
         tokens = [_token_for_shard(0, 2), _token_for_shard(1, 2)] * 3
         with ShardedSummarizer(SlowCounter, num_shards=2) as sharded:
-            sharded.ingest(tokens, trace=trace)
+            sharded.ingest(encode(tokens), trace=trace)
             spans = [
                 s for s in trace.as_dict()["spans"] if s["name"] == "shard_apply"
             ]
@@ -91,7 +92,7 @@ class TestFanOutAccounting:
     parts already delivered (and applied!) unaccounted, drifting the
     queue_stats()-backed metrics away from shard applied totals."""
 
-    def test_partial_fanout_still_counts_delivered_parts(self):
+    def test_partial_fanout_still_counts_delivered_parts(self, encode):
         shard0 = _token_for_shard(0, 2)
         shard1 = _token_for_shard(1, 2)
 
@@ -102,7 +103,7 @@ class TestFanOutAccounting:
                 super().update_batch(items, weights)
 
         with ShardedSummarizer(FailsOnShard1, num_shards=2) as sharded:
-            sharded.ingest([shard0, shard0, shard1])
+            sharded.ingest(encode([shard0, shard0, shard1]))
             # Shard 0 applied its two tokens; shard 1's part was dropped
             # and its error waits for the next flush.
             assert sharded.tokens_enqueued == 2
@@ -116,9 +117,9 @@ class TestFanOutAccounting:
                 sharded.flush()
             sharded.flush()
 
-    def test_full_fanout_counts_every_part(self):
+    def test_full_fanout_counts_every_part(self, encode):
         with ShardedSummarizer(ExactCounter, num_shards=4) as sharded:
-            sharded.ingest([f"tok{i}" for i in range(100)])
+            sharded.ingest(encode([f"tok{i}" for i in range(100)]))
             sharded.flush()
             assert sharded.tokens_enqueued == 100
             applied = sum(
@@ -155,17 +156,17 @@ class TestInjectShardError:
     """The backend-neutral fault hook both backends honour."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_injected_error_surfaces_once(self, backend):
+    def test_injected_error_surfaces_once(self, backend, encode):
         with ShardedSummarizer(
             ExactCounter, num_shards=2, backend=backend
         ) as sharded:
-            sharded.ingest(["a", "b"])
+            sharded.ingest(encode(["a", "b"]))
             sharded.flush()
             sharded.inject_shard_error(1, RuntimeError("poisoned batch"))
             with pytest.raises(RuntimeError, match="shard 1"):
                 sharded.flush()
             # Error cleared after surfacing: the service recovers.
-            sharded.ingest(["c"])
+            sharded.ingest(encode(["c"]))
             sharded.flush()
 
 
@@ -174,13 +175,14 @@ class TestProcessBackend:
         stream = [f"tok{i % 61}" for i in range(4000)]
 
         def run(backend):
+            encode = TokenCodec().encode_chunk
             with ShardedSummarizer(
                 lambda: SpaceSaving(num_counters=128),
                 num_shards=4,
                 backend=backend,
             ) as sharded:
                 for start in range(0, len(stream), 700):
-                    sharded.ingest(stream[start : start + 700])
+                    sharded.ingest(encode(stream[start : start + 700]))
                 sharded.flush()
                 return [
                     serialization.dumps(summary)
@@ -190,7 +192,6 @@ class TestProcessBackend:
         assert run("thread") == run("process")
 
     def test_encoded_chunk_and_record_paths(self):
-        from repro.engine.codec import TokenCodec
         from repro.service.wal import encode_chunk_record
 
         codec = TokenCodec()
@@ -211,20 +212,20 @@ class TestProcessBackend:
                     merged[item] += count
             assert merged == {"a": 4.0, "b": 2.0, "c": 2.0}
 
-    def test_weighted_and_traced_ingest(self):
+    def test_weighted_and_traced_ingest(self, encode):
         from repro.service.tracing import Trace, TraceContext
 
         trace = Trace(op="ingest", context=TraceContext.new(), forced=True)
         with ShardedSummarizer(
             ExactCounter, num_shards=2, backend="process"
         ) as sharded:
-            sharded.ingest_weighted([("a", 2.0), ("b", 3.0)], trace=trace)
+            sharded.ingest(encode(["a", "b"], [2.0, 3.0]), trace=trace)
             sharded.flush()
             assert sharded.stream_length == 5.0
         spans = [s for s in trace.as_dict()["spans"] if s["name"] == "shard_apply"]
         assert spans and sum(s["tokens"] for s in spans) == 2
 
-    def test_worker_error_reported_and_cleared(self):
+    def test_worker_error_reported_and_cleared(self, encode):
         class ExplodesOnce(ExactCounter):
             def update_batch(self, items, weights=None):
                 if "bad" in items:
@@ -234,34 +235,34 @@ class TestProcessBackend:
         with ShardedSummarizer(
             ExplodesOnce, num_shards=1, backend="process"
         ) as sharded:
-            sharded.ingest(["bad"])
-            sharded.ingest(["survivor"])
+            sharded.ingest(encode(["bad"]))
+            sharded.ingest(encode(["survivor"]))
             with pytest.raises(RuntimeError, match="dropped.*boom"):
                 sharded.flush()
-            sharded.ingest(["good", "good"])
+            sharded.ingest(encode(["good", "good"]))
             sharded.flush()
             assert sharded.stream_length == 3.0
 
-    def test_shard_payloads_round_trip(self):
+    def test_shard_payloads_round_trip(self, encode):
         with ShardedSummarizer(
             lambda: SpaceSaving(num_counters=64),
             num_shards=2,
             backend="process",
         ) as sharded:
-            sharded.ingest(["a", "b", "a"])
+            sharded.ingest(encode(["a", "b", "a"]))
             sharded.flush()
             payloads = sharded.shard_payloads()
             restored = [serialization.load(p) for p in payloads]
             assert sum(est.stream_length for est in restored) == 3.0
 
-    def test_unregistered_estimator_snapshots_via_pickle(self):
+    def test_unregistered_estimator_snapshots_via_pickle(self, encode):
         # Classes outside the serialisation registry (e.g. sketches in a
         # differential test) still answer snapshot requests -- the worker
         # falls back to pickle -- while checkpoints must refuse.
         with ShardedSummarizer(
             UnregisteredCounter, num_shards=1, backend="process"
         ) as sharded:
-            sharded.ingest(["a", "a", "b"])
+            sharded.ingest(encode(["a", "a", "b"]))
             sharded.flush()
             (copy,) = sharded.snapshot_summaries()
             assert isinstance(copy, UnregisteredCounter)
@@ -269,7 +270,7 @@ class TestProcessBackend:
             with pytest.raises(RuntimeError, match="serialisation"):
                 sharded.shard_payloads()
 
-    def test_restore_shards_before_start(self):
+    def test_restore_shards_before_start(self, encode):
         primed = ExactCounter()
         primed.update("seeded", 7.0)
         sharded = ShardedSummarizer(
@@ -278,17 +279,17 @@ class TestProcessBackend:
         sharded.restore_shards([primed])
         sharded.start()
         try:
-            sharded.ingest(["x"])
+            sharded.ingest(encode(["x"]))
             sharded.flush()
             assert sharded.stream_length == 8.0
         finally:
             sharded.close()
 
-    def test_queue_stats_supervisor_columns(self):
+    def test_queue_stats_supervisor_columns(self, encode):
         with ShardedSummarizer(
             ExactCounter, num_shards=2, backend="process"
         ) as sharded:
-            sharded.ingest(["a", "b"])
+            sharded.ingest(encode(["a", "b"]))
             sharded.flush()
             for row in sharded.queue_stats():
                 assert row["alive"] == 1.0
@@ -302,8 +303,9 @@ class TestProcessBackend:
         ) as sharded:
 
             def produce(tokens):
+                encode = TokenCodec().encode_chunk  # interning is not thread-safe
                 for start in range(0, len(tokens), 250):
-                    sharded.ingest(tokens[start : start + 250])
+                    sharded.ingest(encode(tokens[start : start + 250]))
 
             threads = [
                 threading.Thread(target=produce, args=(stream[0::2],)),
@@ -328,11 +330,11 @@ def _wait_for(predicate, timeout=30.0, interval=0.02):
 
 
 class TestProcessSupervision:
-    def test_sigkill_flips_readiness_then_restarts(self):
+    def test_sigkill_flips_readiness_then_restarts(self, encode):
         with ShardedSummarizer(
             ExactCounter, num_shards=2, backend="process"
         ) as sharded:
-            sharded.ingest(["a", "b", "c"])
+            sharded.ingest(encode(["a", "b", "c"]))
             sharded.flush()
             slot = sharded._backend.slots[0]
             generation = slot.generation
@@ -348,9 +350,9 @@ class TestProcessSupervision:
             # The death was recorded and surfaces exactly once.
             with pytest.raises(RuntimeError, match="exited unexpectedly"):
                 for _ in range(200):
-                    sharded.ingest(["x"])
+                    sharded.ingest(encode(["x"]))
                     sharded.flush()
-            sharded.ingest(["y"])
+            sharded.ingest(encode(["y"]))
             sharded.flush()
 
     def test_no_workers_leak_past_interpreter_exit(self, tmp_path):
@@ -377,12 +379,13 @@ class TestProcessSupervision:
         script.write_text(
             f"""
 import atexit, os, time
+from repro.engine.codec import TokenCodec
 from repro.service.sharding import ShardedSummarizer
 from repro.streams.exact import ExactCounter
 
 sharded = ShardedSummarizer(ExactCounter, num_shards=4, backend="process")
 sharded.start()
-sharded.ingest(["a", "b", "c"])
+sharded.ingest(TokenCodec().encode_chunk(["a", "b", "c"]))
 sharded.flush()
 backend = sharded._backend
 atexit._run_exitfuncs()      # our guard, then multiprocessing's reaper

@@ -237,8 +237,8 @@ class TestTracedPipeline:
         names = [span["name"] for span in response["trace"]["spans"]]
         assert "query_execute" in names
 
-    def test_weighted_ingest_forwards_trace_to_shard_apply(self):
-        """Regression: ingest_weighted() used to drop its trace on the
+    def test_weighted_ingest_forwards_trace_to_shard_apply(self, encode):
+        """Regression: weighted shard ingest used to drop its trace on the
         floor (it could not even accept one), so forced traces on weighted
         ingest silently lost their shard_apply spans."""
         from repro.service.sharding import ShardedSummarizer
@@ -246,7 +246,7 @@ class TestTracedPipeline:
 
         trace = Trace(op="ingest", context=TraceContext.new(), forced=True)
         with ShardedSummarizer(ExactCounter, num_shards=2) as sharded:
-            sharded.ingest_weighted([("a", 2.0), ("b", 3.0)], trace=trace)
+            sharded.ingest(encode(["a", "b"], [2.0, 3.0]), trace=trace)
             sharded.flush()
         spans = trace.as_dict()["spans"]
         apply_spans = [span for span in spans if span["name"] == "shard_apply"]

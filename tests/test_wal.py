@@ -544,6 +544,21 @@ class TestCheckpointRecovery:
                 num_shards=2,
             )
 
+    def test_recover_rejects_k_below_one(self, tmp_path):
+        """k < 1 is an error, from the argument or from the manifest; it
+        used to be clamped to 1 and reported as a k=1 guarantee."""
+        config, service = self._service(tmp_path)
+        service.handle({"op": "ingest", "items": ["a"] * 4})
+        service.close()
+        for k in (0, -3):
+            with pytest.raises(RecoveryError, match="k must be >= 1, got"):
+                recover(tmp_path / "wal", k=k)
+        manifest = read_manifest(tmp_path / "wal")
+        write_manifest(tmp_path / "wal", {**manifest, "k": 0})
+        with pytest.raises(RecoveryError, match="k must be >= 1, got 0"):
+            recover(tmp_path / "wal")
+        assert recover(tmp_path / "wal", k=1).k == 1
+
     def test_corrupt_checkpoint_is_fatal(self, tmp_path):
         config, service = self._service(tmp_path)
         service.handle({"op": "ingest", "items": ["a"] * 4})

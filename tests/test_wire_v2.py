@@ -204,27 +204,29 @@ class TestAdmissionControl:
         validate_tokens(np.arange(4))  # int dtype admissible wholesale
 
     @pytest.mark.parametrize("bad", UNCARRIABLE_EXAMPLES, ids=uncarriable_id)
-    def test_sharded_summarizer_rejects_synchronously(self, bad):
+    def test_sharded_summarizer_rejects_synchronously(self, bad, encode):
+        # Shards take admitted chunks only: the codec refuses the token
+        # before any shard sees the chunk.
         with ShardedSummarizer(lambda: SpaceSaving(8), num_shards=2) as sharded:
             with pytest.raises(ValueError):
-                sharded.ingest(["ok", bad])
+                sharded.ingest(encode(["ok", bad]))
             with pytest.raises(ValueError):
-                sharded.ingest_weighted([("ok", 1.0), (bad, 2.0)])
+                sharded.ingest(encode(["ok", bad], [1.0, 2.0]))
+            assert sharded.stream_length == 0.0
             # The rejection did not poison the service.
-            sharded.ingest(["still", "fine"])
+            sharded.ingest(encode(["still", "fine"]))
             sharded.flush()
             assert sharded.stream_length == 2.0
 
     @pytest.mark.parametrize("bad", UNCARRIABLE_EXAMPLES, ids=uncarriable_id)
-    def test_windowed_summarizer_rejects_synchronously(self, bad):
-        # Bucket copies travel through the wire format at query time, so
-        # the windowed layer is an ingest boundary too.
+    def test_windowed_summarizer_rejects_synchronously(self, bad, encode):
+        # Bucket copies travel through the wire format at query time; the
+        # window takes admitted chunks only, so the codec refuses the token.
         windowed = WindowedSummarizer(lambda: SpaceSaving(8), num_buckets=2)
         with pytest.raises(ValueError):
-            windowed.update(bad)
-        with pytest.raises(ValueError):
-            windowed.update_batch(["ok", bad])
-        windowed.update_batch([("still", "fine"), None, b"ok"])
+            windowed.update_batch(encode(["ok", bad]))
+        assert windowed.query().empty
+        windowed.update_batch(encode([("still", "fine"), None, b"ok"]))
         assert windowed.query().estimate(("still", "fine")) == 1.0
 
     @pytest.mark.parametrize("bad", UNCARRIABLE_EXAMPLES, ids=uncarriable_id)
@@ -238,21 +240,21 @@ class TestAdmissionControl:
         with pytest.raises(ValueError):
             BatchedIngestor(codec=TokenCodec()).feed(SpaceSaving(8), ["ok", bad])
 
-    def test_accept_then_crash_sequence_is_gone(self, tmp_path):
+    def test_accept_then_crash_sequence_is_gone(self, tmp_path, encode):
         """The PR-4 regression: v1 accepted tuples at ingest, then blew up
         inside serialization.dumps when the snapshot was persisted.  v2
         carries tuples end-to-end; what it cannot carry fails at ingest."""
         flows = [("10.0.0.%d" % (i % 7), 443, "tcp") for i in range(300)]
         with ShardedSummarizer(lambda: SpaceSaving(64), num_shards=2) as sharded:
             manager = SnapshotManager(sharded, k=5, directory=tmp_path)
-            sharded.ingest(flows)
+            sharded.ingest(encode(flows))
             snapshot = manager.refresh(drain=True)  # v1 crashed here
             assert snapshot.path is not None and snapshot.path.exists()
             reloaded = SnapshotManager.load(snapshot.path)
             assert reloaded.estimate(("10.0.0.0", 443, "tcp")) > 0.0
             # ...and what is still uncarriable never reaches a shard.
             with pytest.raises(ValueError):
-                sharded.ingest([object()])
+                sharded.ingest(encode([object()]))
             assert manager.refresh(drain=True).stream_length == 300.0
 
 

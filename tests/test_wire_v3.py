@@ -585,6 +585,40 @@ class TestNegotiation:
 # --------------------------------------------------------------------------- #
 
 
+class TestFrameReplies:
+    def test_json_line_reply_to_a_frame_raises_service_error(self):
+        """A protocol-4 server answers a frame with a frame; any other
+        reply fails the frame reader's magic check and is raised as
+        ServiceError at once, without waiting for more bytes."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        frames = []
+
+        def stub():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                reader.readline()  # the client's ping
+                conn.sendall(b'{"ok": true, "protocol": 4, "binary": true}\n')
+                _, frame_type, length = SOCKET_HEADER.unpack(
+                    reader.read(SOCKET_HEADER.size)
+                )
+                frames.append((frame_type, reader.read(length)))
+                conn.sendall(b'{"ok": false, "error": "not a frame"}\n')
+                reader.read()  # hold the connection open until the client closes
+
+        thread = threading.Thread(target=stub, daemon=True)
+        thread.start()
+        try:
+            port = listener.getsockname()[1]
+            with ServiceClient(port=port, binary="always", timeout=5) as client:
+                with pytest.raises(ServiceError, match="bad frame magic"):
+                    client.ingest(["a", "b", "a"])
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
+        assert [frame_type for frame_type, _ in frames] == [SOCKET_FRAME_INGEST]
+
+
 class TestCorruptFrames:
     def test_crc_corrupt_record_rejected_and_never_logged(self, wal_server):
         record = bytearray(encode_chunk_record(_chunk(["corrupt"] * 5)))
