@@ -125,7 +125,6 @@ def five_tuples_through_the_service(trace) -> None:
 
     with tempfile.TemporaryDirectory() as snapshot_dir:
         config = ServiceConfig(
-            algorithm="spacesaving",
             num_counters=COUNTERS,
             num_shards=4,
             k=K,
@@ -237,7 +236,6 @@ def kill_and_recover(trace) -> None:
     with tempfile.TemporaryDirectory() as wal_root:
         wal_dir = Path(wal_root) / "wal"
         config = ServiceConfig(
-            algorithm="spacesaving",
             num_counters=COUNTERS,
             num_shards=4,
             k=K,

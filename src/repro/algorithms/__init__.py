@@ -10,6 +10,9 @@ paper analyses:
   Stream-Summary implementation and a heap-based variant.
 * :class:`~repro.algorithms.lossy_counting.LossyCounting` -- the
   LOSSYCOUNTING baseline of Manku and Motwani (Table 1 comparison point).
+* :class:`~repro.algorithms.array_summary.ArraySummary` -- FREQUENT_R
+  applied a chunk at a time on NumPy arrays (the Misra--Gries merge);
+  the heavy-hitters service's shard summary.
 * :class:`~repro.algorithms.frequent_real.FrequentR` and
   :class:`~repro.algorithms.space_saving_real.SpaceSavingR` -- the
   real-valued-weight extensions from Section 6.1.
@@ -19,6 +22,7 @@ interface so that experiments, metrics, and the core analysis layer can treat
 them uniformly.
 """
 
+from repro.algorithms.array_summary import ArraySummary
 from repro.algorithms.base import CounterSnapshot, FrequencyEstimator
 from repro.algorithms.frequent import Frequent
 from repro.algorithms.frequent_real import FrequentR
@@ -27,6 +31,7 @@ from repro.algorithms.space_saving import SpaceSaving, SpaceSavingHeap
 from repro.algorithms.space_saving_real import SpaceSavingR
 
 __all__ = [
+    "ArraySummary",
     "CounterSnapshot",
     "FrequencyEstimator",
     "Frequent",

@@ -263,11 +263,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     configure_logging(log_format=args.log_format, level=args.log_level)
     config = ServiceConfig(
-        algorithm=args.algorithm,
         num_counters=args.counters,
         num_shards=args.shards,
         k=args.k,
-        weighted=args.weighted,
         window_buckets=args.window_buckets,
         snapshot_interval=args.snapshot_interval,
         snapshot_dir=args.snapshot_dir,
@@ -327,7 +325,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     wal_note = f", wal={args.wal_dir} fsync={args.fsync}" if args.wal_dir else ""
     print(
-        f"serving {args.algorithm} (m={args.counters}, shards={args.shards}, "
+        f"serving ArraySummary shards (m={args.counters}, shards={args.shards}, "
         f"k={args.k}{wal_note}) on {host}:{port}",
         flush=True,
     )
@@ -594,9 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the metrics registry (the uninstrumented baseline; "
         "/metrics then answers 503)",
     )
-    serve.add_argument(
-        "--algorithm", choices=sorted(_UNIT_ALGORITHMS), default="spacesaving"
-    )
     serve.add_argument("--counters", type=int, default=1_000, help="counter budget m per shard")
     serve.add_argument("--shards", type=int, default=4, help="hash-partitioned shard summaries")
     serve.add_argument(
@@ -608,9 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scripts keep working",
     )
     serve.add_argument("--k", type=int, default=10, help="tail parameter of snapshot guarantees")
-    serve.add_argument(
-        "--weighted", action="store_true", help="use the Section 6.1 weighted variants"
-    )
     serve.add_argument(
         "--window-buckets",
         type=int,

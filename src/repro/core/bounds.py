@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Tuple, Type, Union
 
+from repro.algorithms.array_summary import ArraySummary
 from repro.algorithms.base import FrequencyEstimator
 from repro.algorithms.frequent import Frequent
 from repro.algorithms.frequent_real import FrequentR
@@ -22,18 +23,21 @@ AlgorithmSpec = Union[str, Type[FrequencyEstimator], FrequencyEstimator]
 
 #: Tail-guarantee constants (A, B) proved for each algorithm.
 #: FREQUENT and SPACESAVING (and their weighted variants) achieve A = B = 1
-#: (Appendices B and C, Theorem 10); the generic HTC argument of Theorem 2
-#: gives (A, 2A) = (1, 2) for any heavy-tolerant algorithm with an F1
-#: guarantee of constant A = 1.
+#: (Appendices B and C, Theorem 10), and so does ArraySummary, FREQUENT_R
+#: applied one chunk at a time (its docstring has the proof); the generic
+#: HTC argument of Theorem 2 gives (A, 2A) = (1, 2) for any heavy-tolerant
+#: algorithm with an F1 guarantee of constant A = 1.
 _TAIL_CONSTANTS = {
     "frequent": (1.0, 1.0),
     "spacesaving": (1.0, 1.0),
     "frequentr": (1.0, 1.0),
     "spacesavingr": (1.0, 1.0),
+    "arraysummary": (1.0, 1.0),
     "htc": (1.0, 2.0),
 }
 
 _CLASS_NAMES = {
+    ArraySummary: "arraysummary",
     Frequent: "frequent",
     FrequentR: "frequentr",
     SpaceSaving: "spacesaving",

@@ -26,6 +26,13 @@ Two variants of the "extract a sparse approximation" step are provided:
 that exposes the merged estimator, the merged guarantee constants, and a
 bound evaluator.
 
+Summaries that are all :class:`~repro.algorithms.array_summary.ArraySummary`
+merge with ``mode="all_counters"`` by that class's own kernel
+(:meth:`~repro.algorithms.array_summary.ArraySummary.merge`: sum the
+counters by key, subtract the ``(m+1)``-th largest) instead of a replay.
+The kernel keeps ``(1, 1)`` on the combined stream (see the class's
+proof); the result still advertises Theorem 11's ``(3A, A+B)``.
+
 When the streams are *key-disjoint* (hash partitions of one stream, as in
 the service's shards) no merge is needed: ``disjoint=True`` returns a
 :class:`DisjointUnion` of the summaries themselves.  An item's estimate is
@@ -40,6 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
+from repro.algorithms.array_summary import ArraySummary
 from repro.algorithms.base import FrequencyEstimator, Item
 from repro.core.bounds import k_tail_bound, merged_tail_constants
 from repro.core.sparse_recovery import k_sparse_recovery
@@ -125,10 +135,19 @@ class DisjointUnion(FrequencyEstimator):
         return union
 
     def top_k(self, k: int) -> List[Tuple[Item, float]]:
+        """The ``k`` largest estimates over all parts.
+
+        Each part ranks its own counters (:meth:`FrequencyEstimator.top_k`)
+        and the rankings merge by estimate.  Equal estimates keep part
+        order, then each part's own order, so a union rebuilt from the
+        same parts in the same order (a persisted snapshot file, a crash
+        recovery) ranks exactly alike.
+        """
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        ranked = sorted(self.counters().items(), key=lambda kv: (-kv[1], repr(kv[0])))
-        return ranked[:k]
+        entries = [entry for part in self.parts for entry in part.top_k(k)]
+        estimates = np.fromiter((count for _, count in entries), dtype=np.float64, count=len(entries))
+        return [entries[index] for index in np.argsort(-estimates, kind="stable")[:k].tolist()]
 
     def __len__(self) -> int:
         return sum(len(part) for part in self.parts)
@@ -174,7 +193,8 @@ def merge_summaries(
     make_estimator:
         Factory returning a fresh instance of the counter algorithm used for
         the final merging pass (typically the same class and budget as the
-        sources).  Required unless ``disjoint``.
+        sources).  Required unless ``disjoint`` or the summaries are all
+        :class:`~repro.algorithms.array_summary.ArraySummary`.
     source_constants:
         The (A, B) constants of the source summaries; defaults to the proved
         constants for their class.
@@ -216,15 +236,18 @@ def merge_summaries(
             merged_constants=source_constants,
             num_sources=len(summaries),
         )
-    if make_estimator is None:
-        raise ValueError("a Theorem 11 merge needs make_estimator")
-    merged = make_estimator()
-    for summary in summaries:
-        if mode == "top_k":
-            vector = k_sparse_recovery(summary, k=k).recovery
-        else:
-            vector = summary.counters()
-        _replay_sparse_vector(merged, vector)
+    if mode == "all_counters" and all(isinstance(s, ArraySummary) for s in summaries):
+        merged: FrequencyEstimator = ArraySummary.merge(summaries)
+    else:
+        if make_estimator is None:
+            raise ValueError("a Theorem 11 merge needs make_estimator")
+        merged = make_estimator()
+        for summary in summaries:
+            if mode == "top_k":
+                vector = k_sparse_recovery(summary, k=k).recovery
+            else:
+                vector = summary.counters()
+            _replay_sparse_vector(merged, vector)
     a_merged, b_merged = merged_tail_constants(source_constants.a, source_constants.b)
     return MergeResult(
         estimator=merged,

@@ -359,7 +359,7 @@ class TokenCodec:
     def decode(self, ids: Sequence[int]) -> list[Item]:
         """Decode an id sequence back into the original items."""
         table = self._items
-        return [table[token_id] for token_id in np.asarray(ids, dtype=np.int64)]
+        return [table[token_id] for token_id in np.asarray(ids, dtype=np.int64).tolist()]
 
     def fingerprints(self, ids: np.ndarray) -> np.ndarray:
         """Gather the cached ``uint64`` fingerprints for an id array."""

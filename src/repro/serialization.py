@@ -27,6 +27,11 @@ queries (and merges) exactly like the original.  It does *not* preserve
 internal acceleration structures byte-for-byte (e.g. the Stream-Summary
 bucket list is rebuilt), which is irrelevant to correctness.
 
+An :class:`~repro.algorithms.array_summary.ArraySummary` stores its raw
+counters ``c_i`` under ``counts`` and its total decrement under
+``"extra": {"decrement": d}``; it answers ``c_i + d``, and loading
+recomputes the key fingerprints.
+
 A :class:`~repro.core.merging.DisjointUnion` -- the union of key-disjoint
 shard summaries that the service answers from -- is written as
 ``"algorithm": "DisjointUnion"`` with a ``"parts"`` list of the payloads
@@ -77,6 +82,7 @@ from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
+from repro.algorithms.array_summary import ArraySummary
 from repro.algorithms.base import FrequencyEstimator, Item
 from repro.algorithms.frequent import Frequent
 from repro.engine.codec import (
@@ -101,6 +107,7 @@ SUPPORTED_VERSIONS = (1, 2)
 
 #: Registry of serialisable summary classes, keyed by their wire name.
 _REGISTRY: Dict[str, Type[FrequencyEstimator]] = {
+    "ArraySummary": ArraySummary,
     "Frequent": Frequent,
     "FrequentR": FrequentR,
     "LossyCounting": LossyCounting,
@@ -283,7 +290,10 @@ def dump(summary: FrequencyEstimator) -> Dict[str, Any]:
         "errors": _encode_counts(summary.per_item_errors()),
         "extra": {},
     }
-    if isinstance(summary, LossyCounting):
+    if isinstance(summary, ArraySummary):
+        payload["counts"] = _encode_counts(summary.guaranteed_counters())
+        payload["extra"] = {"decrement": summary.decrement}
+    elif isinstance(summary, LossyCounting):
         payload["extra"] = {
             "epsilon": summary.epsilon,
             "current_bucket": summary._current_bucket,
@@ -474,7 +484,14 @@ def load(payload: Dict[str, Any]) -> FrequencyEstimator:
     errors = _decode_counts(payload.get("errors", {}))
     extra = payload.get("extra", {}) or {}
 
-    if cls is LossyCounting:
+    if cls is ArraySummary:
+        try:
+            summary = ArraySummary.from_counters(
+                int(payload["num_counters"]), counts, float(extra.get("decrement", 0.0))
+            )
+        except ValueError as error:
+            raise SerializationError(f"invalid ArraySummary payload: {error}") from error
+    elif cls is LossyCounting:
         summary = LossyCounting(epsilon=float(extra.get("epsilon", 0.01)))
         deltas = _decode_counts(extra.get("deltas", {}))
         summary._entries = {

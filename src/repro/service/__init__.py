@@ -1,13 +1,15 @@
 """Long-running heavy-hitters service built on mergeable summaries.
 
 The architectural leap from algorithm library to system: ingest is
-hash-sharded across per-shard summaries, and because the shards' key
+hash-sharded across per-shard summaries, each an
+:class:`~repro.algorithms.array_summary.ArraySummary` (FREQUENT_R applied a
+chunk at a time on NumPy arrays, ``(1, 1)``), and because the shards' key
 spaces are disjoint, a query is answered by the owner shard of each key
 with the shards' own ``(A, B)`` k-tail guarantee -- no merge, no loss of
 certified error bounds; snapshot files and crash recovery keep the same
-union.  Where inputs overlap in key space (window buckets, offline
-merges) the paper's ``(3A, A+B)`` merge (Theorem 11) combines them
-instead.  Tokens are admitted once, when a ``TokenCodec`` interns them
+union.  Window buckets overlap in key space: a window answer combines them
+with the same array kernel and advertises Theorem 11's ``(3A, A+B)``;
+offline merges of other summaries replay per Theorem 11.  Tokens are admitted once, when a ``TokenCodec`` interns them
 into an ``EncodedChunk``; everything below the wire takes chunks only.
 The pipeline is::
 
@@ -22,7 +24,8 @@ The pipeline is::
 
 * :mod:`repro.service.sharding` -- hash-sharded ingestion of encoded
   chunks (shard summaries behind per-shard locks, each chunk split by
-  ``partition_batch`` and applied inline);
+  ``partition_batch`` and applied inline; the service's factory builds
+  ``ArraySummary`` shards, any factory works);
 * :mod:`repro.service.snapshots` -- versioned, persisted, queryable
   snapshots carrying the shards' own guarantee;
 * :mod:`repro.service.windows` -- sliding-window heavy hitters over

@@ -177,6 +177,10 @@ class ServiceClient:
         #: that request was force-traced (``trace=True`` on ingest/point/
         #: top_k); ``None`` otherwise.
         self.last_trace: dict[str, Any] | None = None
+        #: Why the connection was closed after a reply it could not parse
+        #: (``None`` while it is usable): the stream is out of step then,
+        #: so every later request raises :class:`ServiceError` at once.
+        self._broken: str | None = None
 
     @staticmethod
     def from_url(
@@ -261,36 +265,58 @@ class ServiceClient:
     # Transport
     # ------------------------------------------------------------------ #
 
-    def call(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Send one request object; return the response, raising on errors."""
-        self._socket.sendall((json.dumps(request) + "\n").encode())
-        line = self._reader.readline()
-        if not line:
-            raise ServiceError("connection closed by the service")
-        response = json.loads(line)
+    def _send(self, data: bytes) -> None:
+        if self._broken is not None:
+            raise ServiceError(f"connection closed after a protocol error: {self._broken}")
+        self._socket.sendall(data)
+
+    def _protocol_error(self, message: str) -> ServiceError:
+        """Close the connection, whose reply stream is out of step, and
+        return the :class:`ServiceError` to raise."""
+        self._broken = message
+        self.close()
+        return ServiceError(message)
+
+    def _response(self, data: bytes) -> dict[str, Any]:
+        """Parse one JSON response object, raising on errors."""
+        try:
+            response = json.loads(data)
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            raise self._protocol_error(f"malformed JSON reply: {error}") from error
+        if not isinstance(response, dict):
+            raise self._protocol_error(f"reply is not a JSON object: {data[:80]!r}")
         self.last_trace = response.get("trace")
         if not response.get("ok"):
             raise ServiceError(response.get("error", "unknown service error"))
         return response
+
+    def call(self, request: dict[str, Any]) -> dict[str, Any]:
+        """Send one request object; return the response, raising on errors.
+
+        A reply that is not a JSON object closes the connection: this
+        call and every later one raise :class:`ServiceError`.
+        """
+        self._send((json.dumps(request) + "\n").encode())
+        line = self._reader.readline()
+        if not line:
+            raise ServiceError("connection closed by the service")
+        return self._response(line)
 
     def _read_frame_response(self) -> dict[str, Any]:
         """Read the response to one binary frame, raising on errors.
 
-        Every protocol-4 server answers a frame with a RESPONSE frame; a
-        reply that is not a frame (bad magic, truncated, oversized) is
-        raised as :class:`ServiceError`.
+        Every protocol-4 server answers a frame with a RESPONSE frame.  A
+        reply that is not a frame (bad magic, truncated, oversized) or
+        whose JSON is malformed closes the connection, as in
+        :meth:`call`, and is raised as :class:`ServiceError`.
         """
         try:
             frame_type, payload = read_socket_frame(self._reader)
         except FrameError as error:
-            raise ServiceError(str(error)) from error
+            raise self._protocol_error(str(error)) from error
         if frame_type != SOCKET_FRAME_RESPONSE:
             raise ServiceError(f"unexpected response frame type {frame_type}")
-        response = json.loads(payload)
-        self.last_trace = response.get("trace")
-        if not response.get("ok"):
-            raise ServiceError(response.get("error", "unknown service error"))
-        return response
+        return self._response(payload)
 
     def close(self) -> None:
         try:
@@ -414,7 +440,7 @@ class ServiceClient:
             )
             return self.ingest(chunk.items(), weights)
         record = encode_chunk_record(chunk)
-        self._socket.sendall(encode_socket_frame(SOCKET_FRAME_INGEST, record))
+        self._send(encode_socket_frame(SOCKET_FRAME_INGEST, record))
         response = self._read_frame_response()
         self.last_ingest_wal = response.get("wal")
         self.last_ingest_durable = bool(response.get("durable", False))

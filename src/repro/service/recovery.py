@@ -10,13 +10,16 @@ checkpoint's position, so
 reconstructs the per-shard summaries the crashed process held: replay
 splits each chunk with the :func:`~repro.service.sharding.partition_batch`
 that live ingest uses and applies each part through the same
-``update_batch`` fast path, so a replay from empty is bit-identical to
-live ingestion of the same chunk sequence, and a replay on top of a
-checkpoint preserves every estimate and per-item error bound
-(the checkpoint round trip rebuilds acceleration structures only, see
-:mod:`repro.serialization`).  Torn final frames are truncated -- only
-frames that were fully on disk are replayed, which under
-``fsync="always"`` is a superset of everything the service ever acked.
+``update_batch`` fast path, so a replay is bit-identical to live
+ingestion of the same chunk sequence -- on top of a checkpoint too, since
+an :class:`~repro.algorithms.array_summary.ArraySummary` payload restores
+its exact arrays.  A checkpoint written by an earlier build with
+SpaceSaving shards loads as SpaceSaving shards and preserves every
+estimate and per-item error bound (the round trip rebuilds acceleration
+structures only, see :mod:`repro.serialization`).  Torn final frames are
+truncated -- only frames that were fully on disk are replayed, which
+under ``fsync="always"`` is a superset of everything the service ever
+acked.
 
 Three entry points:
 
@@ -42,6 +45,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 from repro import serialization
+from repro.algorithms.array_summary import ArraySummary, FingerprintCollisionError
 from repro.algorithms.base import FrequencyEstimator
 from repro.core.merging import MergeResult, merge_summaries
 from repro.core.tail_guarantee import TailGuarantee
@@ -62,7 +66,7 @@ from repro.service.wal import (
     write_checkpoint,
 )
 from repro.service.windows import WindowedSummarizer
-from repro.engine.codec import TokenCodec
+from repro.engine.codec import EncodedChunk, TokenCodec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server imports wal)
     from repro.service.server import HeavyHittersService, ServiceConfig
@@ -109,8 +113,8 @@ class RecoveryResult:
         """The union of :attr:`estimators`, built on first read.
 
         The shards hash-partition the key space, so the union keeps the
-        shards' own constants -- ``(1, 1)`` for SPACESAVING and FREQUENT,
-        neutral ones when the estimator class has none (e.g.
+        shards' own constants -- ``(1, 1)`` for ArraySummary, SPACESAVING
+        and FREQUENT, neutral ones when the estimator class has none (e.g.
         ``ExactCounter``).  A service restart never reads it, so it is not
         built there.  The union holds the estimators themselves, not
         copies: once a service adopts them and keeps ingesting, its
@@ -131,21 +135,28 @@ class RecoveryResult:
 
 
 def _factory_from_manifest(manifest: dict[str, Any]) -> EstimatorFactory:
-    """Rebuild the per-shard estimator factory recorded by the service."""
-    # Imported lazily: the server module imports repro.service.wal, and
-    # recovery must stay importable from it without a cycle.
-    from repro.service.server import SERVICE_ALGORITHMS
+    """The service's shard summary, at the manifest's counter budget.
 
-    algorithm = manifest.get("algorithm", "spacesaving")
-    weighted = bool(manifest.get("weighted", False))
+    Manifests written by earlier builds also name an ``algorithm`` and a
+    ``weighted`` flag; both are ignored, because the service has one shard
+    summary.  Their checkpoints still load as the classes they name.
+    """
     num_counters = int(manifest.get("num_counters", 1000))
-    key = (algorithm, weighted)
-    if key not in SERVICE_ALGORITHMS:
-        raise RecoveryError(
-            f"manifest names unknown algorithm {algorithm!r} "
-            f"(weighted={weighted})"
-        )
-    return lambda: SERVICE_ALGORITHMS[key](num_counters)
+    return lambda: ArraySummary(num_counters)
+
+
+def _replay(target: FrequencyEstimator | WindowedSummarizer, chunk: EncodedChunk) -> None:
+    """Apply one logged chunk (or shard part) as live ingest did.
+
+    Live ingest logs a chunk before the shards and the window see it.  An
+    ``ArraySummary`` that finds two keys sharing a fingerprint rejects the
+    whole part and keeps its state; replay drops the same part, so such a
+    record neither blocks recovery nor makes it differ from live state.
+    """
+    try:
+        target.update_batch(chunk)
+    except FingerprintCollisionError:
+        pass
 
 
 def recover(
@@ -244,9 +255,9 @@ def recover(
         if record.frame_type == FRAME_CHUNK:
             chunk = decode_chunk_record(record, codec)
             for shard_id, part in partition_batch(chunk, num_shards).items():
-                estimators[shard_id].update_batch(part)
+                _replay(estimators[shard_id], part)
             if window is not None:
-                window.update_batch(chunk)
+                _replay(window, chunk)
             chunks_replayed += 1
             tokens_replayed += len(chunk)
         elif record.frame_type == FRAME_ADVANCE:

@@ -52,10 +52,13 @@ instead of re-checking each token occurrence in a per-item Python loop,
 and the encoded chunk fans out to the shards with one
 ``partition_chunk`` call.
 
-Snapshot-backed answers carry the shards' own ``(A, B)`` guarantee
-constants (each key is answered by its owner shard); window answers carry
-the constants of however many buckets were actually merged -- ``(A, B)``
-for one, Theorem 11's ``(3A, A+B)`` for more (see
+Every shard and window bucket is an
+:class:`~repro.algorithms.array_summary.ArraySummary`
+(:meth:`ServiceConfig.make_estimator`); no setting picks another summary.
+Snapshot-backed answers carry the shards' own ``(A, B) = (1, 1)``
+guarantee constants (each key is answered by its owner shard); window
+answers carry the constants of however many buckets were actually merged
+-- ``(A, B)`` for one, Theorem 11's ``(3A, A+B)`` for more (see
 :mod:`repro.service.windows`).
 """
 
@@ -75,12 +78,9 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
 from repro import serialization
-from repro.algorithms.base import FrequencyEstimator, Item
+from repro.algorithms.array_summary import ArraySummary
+from repro.algorithms.base import Item
 from repro.engine.codec import EncodedChunk, TokenAdmissionError, TokenCodec
-from repro.algorithms.frequent import Frequent
-from repro.algorithms.frequent_real import FrequentR
-from repro.algorithms.space_saving import SpaceSaving
-from repro.algorithms.space_saving_real import SpaceSavingR
 from repro.core.tail_guarantee import TailGuarantee
 from repro.service.audit import (
     DEFAULT_AUDIT_INTERVAL,
@@ -134,24 +134,18 @@ PROTOCOL_VERSION = 4
 
 _MISSING = object()
 
-#: (algorithm name, weighted?) -> summary class, mirroring the CLI registry.
-SERVICE_ALGORITHMS: dict[tuple[str, bool], Callable[[int], FrequencyEstimator]] = {
-    ("spacesaving", False): lambda m: SpaceSaving(num_counters=m),
-    ("spacesaving", True): lambda m: SpaceSavingR(num_counters=m),
-    ("frequent", False): lambda m: Frequent(num_counters=m),
-    ("frequent", True): lambda m: FrequentR(num_counters=m),
-}
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Static configuration of one service instance."""
+    """Static configuration of one service instance.
 
-    algorithm: str = "spacesaving"
+    Every shard and window bucket is an
+    :class:`~repro.algorithms.array_summary.ArraySummary` of
+    ``num_counters`` counters; it takes real weights as they come.
+    """
+
     num_counters: int = 1_000
     num_shards: int = 4
     k: int = 10
-    weighted: bool = False
     window_buckets: int = 0
     snapshot_interval: float = 0.0
     snapshot_dir: str | None = None
@@ -205,23 +199,15 @@ class ServiceConfig:
     def manifest(self) -> dict[str, Any]:
         """The fields recovery needs to rebuild this service's estimators."""
         return {
-            "algorithm": self.algorithm,
             "num_counters": self.num_counters,
             "num_shards": self.num_shards,
             "k": self.k,
-            "weighted": self.weighted,
             "window_buckets": self.window_buckets,
             "fsync": self.fsync,
         }
 
-    def make_estimator(self) -> FrequencyEstimator:
-        key = (self.algorithm, self.weighted)
-        if key not in SERVICE_ALGORITHMS:
-            names = sorted({name for name, _ in SERVICE_ALGORITHMS})
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {names}"
-            )
-        return SERVICE_ALGORITHMS[key](self.num_counters)
+    def make_estimator(self) -> ArraySummary:
+        return ArraySummary(self.num_counters)
 
 
 def _guarantee_payload(constants: TailGuarantee, k: int, m: int) -> dict[str, float]:
@@ -596,8 +582,6 @@ class HeavyHittersService:
             lambda: [
                 (
                     {
-                        "algorithm": self.config.algorithm,
-                        "weighted": str(self.config.weighted).lower(),
                         "num_counters": str(self.config.num_counters),
                         "num_shards": str(self.config.num_shards),
                         "protocol": str(self.protocol),
@@ -1100,7 +1084,6 @@ class HeavyHittersService:
         latest = self.snapshots.latest
         stats: dict[str, Any] = {
             "ok": True,
-            "algorithm": self.config.algorithm,
             "num_counters": self.config.num_counters,
             "num_shards": self.config.num_shards,
             "k": self.config.k,

@@ -5,7 +5,9 @@ heavy-hitters service can *shard* its ingest path -- hash-partition the
 token stream across ``N`` shards and let each shard maintain its own
 summary -- without giving up certified answers.  The partitions are
 key-disjoint, so the owner shard's summary answers for each key with the
-shards' own ``(A, B)`` guarantee.  Snapshots, persisted snapshot files
+shards' own ``(A, B)`` guarantee.  The service's shards are
+:class:`~repro.algorithms.array_summary.ArraySummary` instances; this
+module takes any estimator factory.  Snapshots, persisted snapshot files
 and crash recovery all combine the shards by their union
 (:class:`~repro.core.merging.DisjointUnion`); the ``(3A, A+B)`` merge of
 Theorem 11 is left to summaries whose key spaces overlap.
@@ -51,9 +53,10 @@ taken on a batch boundary (:meth:`snapshot_summaries`) while ingestion
 keeps running -- the latter is what
 :class:`repro.service.snapshots.SnapshotManager` builds queryable
 snapshots from.  The thread backend takes each copy with the estimator's
-structural :meth:`~repro.algorithms.base.FrequencyEstimator.copy` under
-the shard's lock, so a snapshot stalls a shard only for a table copy; a
-checkpoint serialises those copies after the lock is released.  The
+:meth:`~repro.algorithms.base.FrequencyEstimator.copy` under the shard's
+lock (for an ``ArraySummary``, which never writes into its arrays, a copy
+of a few references), so a snapshot barely stalls a shard; a checkpoint
+serialises those copies after the lock is released.  The
 process backend has no shared memory to copy from: its workers answer
 with :func:`repro.serialization.dump` payloads instead.
 """

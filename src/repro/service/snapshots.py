@@ -6,7 +6,10 @@ A snapshot is the union of consistent per-shard copies
 (:class:`~repro.core.merging.DisjointUnion`): the shards hash-partition the
 key space, so each item is answered by its owner shard alone and the
 snapshot carries the shards' own ``(A, B)`` k-tail guarantee -- ``(1, 1)``
-for SPACESAVING and FREQUENT -- with no Theorem 11 merge.  It also holds
+for the service's :class:`~repro.algorithms.array_summary.ArraySummary`
+shards, as for SPACESAVING and FREQUENT -- with no Theorem 11 merge.
+Copying an ``ArraySummary`` shares its arrays (no update writes into
+them), so a refresh costs microseconds per shard before the union.  It also holds
 the bookkeeping a query engine needs (true total stream weight at snapshot
 time, per-shard weights, version number, and the wire cost of persisting
 it).

@@ -5,15 +5,21 @@ and queries ask about *recent* traffic only ("heavy hitters of the last
 hour").  The classical answer -- and the one the paper's mergeability
 results make rigorous -- is bucketed windows: time is cut into buckets,
 each bucket gets its own counter summary, expired buckets are dropped from
-a ring, and a window query merges the live buckets it covers per
-Theorem 11.
+a ring, and a window query merges the live buckets it covers with
+:func:`~repro.core.merging.merge_summaries`.
 
 Guarantee semantics of a window answer: every bucket summary satisfies the
 ``(A, B)`` k-tail guarantee on its own sub-stream, so the merged answer
-over the window satisfies the ``(3A, A+B)`` guarantee with respect to the
-window's combined frequency vector (a single-bucket window keeps the sharp
-``(A, B)`` constants -- no merge happens).  The window boundary itself is
-exact at bucket granularity: answers cover whole buckets, never fractions.
+over the window satisfies the ``(3A, A+B)`` guarantee of Theorem 11 with
+respect to the window's combined frequency vector (a single-bucket window
+keeps the sharp ``(A, B)`` constants -- no merge happens).  The service's
+buckets are :class:`~repro.algorithms.array_summary.ArraySummary`
+instances, which merge in one call to their own kernel
+(:meth:`~repro.algorithms.array_summary.ArraySummary.merge`) instead of a
+replay; that kernel keeps ``(1, 1)``, but answers advertise ``(3A, A+B)``
+until an oracle tier checks the tighter constants.  The window boundary
+itself is exact at bucket granularity: answers cover whole buckets, never
+fractions.
 
 Buckets take admitted chunks only (:meth:`WindowedSummarizer.update_batch`):
 the codec that built a chunk admitted its tokens and weights, so bucket

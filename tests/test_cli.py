@@ -307,9 +307,19 @@ class TestServeAndQueryCommands:
         with pytest.raises(SystemExit):
             main(["query", "ping", "--port", "1", "--host", "127.0.0.1"])
 
+    @pytest.mark.parametrize(
+        "argv", [["--algorithm", "spacesaving"], ["--weighted"]], ids=["algorithm", "weighted"]
+    )
+    def test_serve_has_one_shard_summary(self, argv, capsys):
+        """The shard summary is not an option: the old flags are usage errors."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "--port", "0"])
-        assert args.algorithm == "spacesaving"
+        assert not hasattr(args, "algorithm") and not hasattr(args, "weighted")
         assert args.shards == 4
         assert args.window_buckets == 0
         assert args.wal_dir is None

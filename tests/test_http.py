@@ -224,7 +224,7 @@ class TestMetricsEndpoint:
         assert samples["repro_ingest_tokens_total"][()] == 4.0
         assert samples["repro_service_ready"][()] == 1.0
         info_labels = dict(next(iter(samples["repro_service_info"])))
-        assert info_labels["algorithm"] == "spacesaving"
+        assert info_labels["num_counters"] == "64"
 
     def test_counters_match_acked_totals(self, http_client):
         """Metric accuracy: scraped totals equal what ingest acked."""
@@ -448,7 +448,7 @@ class TestCliHttp:
             ServiceServer.serve_forever = original
         out = capsys.readouterr().out
         assert "operations HTTP plane on" in out
-        assert "serving spacesaving" in out
+        assert "serving ArraySummary shards" in out
 
 
 class TestDashboard:

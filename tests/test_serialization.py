@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import serialization
+from repro.algorithms.array_summary import ArraySummary
 from repro.algorithms.frequent import Frequent
 from repro.algorithms.frequent_real import FrequentR
 from repro.algorithms.lossy_counting import LossyCounting
@@ -105,6 +106,7 @@ class TestRoundTrip:
 #: One instance of every registered class, so a newly registered summary
 #: cannot skip the copy contract.
 REGISTRY_FACTORIES = {
+    "ArraySummary": lambda: ArraySummary(num_counters=32),
     "Frequent": lambda: Frequent(num_counters=32),
     "FrequentR": lambda: FrequentR(num_counters=32),
     "LossyCounting": lambda: LossyCounting(epsilon=0.05),

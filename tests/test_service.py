@@ -531,7 +531,6 @@ class TestHeavyHittersServiceHandle:
 def running_server():
     """A live service on an ephemeral port, torn down after the test."""
     config = ServiceConfig(
-        algorithm="spacesaving",
         num_counters=2_000,
         num_shards=4,
         k=20,

@@ -636,10 +636,12 @@ class TestOwnerShardFiles:
         assert main(["recover", "--wal-dir", str(wal_dir), "--output", str(output)]) == 0
         assert "A=1, B=1" in capsys.readouterr().out
         assert replays == []
-        # The hook is live: a Theorem 11 merge of the same shards replays.
-        merging.merge_summaries(
-            result.estimators, k=4, make_estimator=lambda: SpaceSaving(64)
-        )
+        # The hook is live: a Theorem 11 merge of SpaceSaving summaries
+        # replays (array shards merge by their own kernel instead).
+        parts = [SpaceSaving(64) for _ in range(2)]
+        for part in parts:
+            part.update_many(["x", "y", "x"])
+        merging.merge_summaries(parts, k=4, make_estimator=lambda: SpaceSaving(64))
         assert replays
 
     def test_recover_output_and_repro_merge(self, tmp_path, capsys):

@@ -377,7 +377,6 @@ def _flow_of(index: int):
 def flow_server(tmp_path):
     """A live service persisting compressed snapshots, torn down after."""
     config = ServiceConfig(
-        algorithm="spacesaving",
         num_counters=600,
         num_shards=3,
         k=10,

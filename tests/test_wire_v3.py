@@ -618,6 +618,59 @@ class TestFrameReplies:
             listener.close()
         assert [frame_type for frame_type, _ in frames] == [SOCKET_FRAME_INGEST]
 
+    @staticmethod
+    def _stub(reply_to_ping: bytes, reply_to_frame: bytes | None):
+        """A one-connection stub server; returns (listener, thread)."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def stub():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                reader.readline()  # the client's ping
+                conn.sendall(reply_to_ping)
+                if reply_to_frame is not None:
+                    _, _, length = SOCKET_HEADER.unpack(reader.read(SOCKET_HEADER.size))
+                    reader.read(length)
+                    conn.sendall(reply_to_frame)
+                reader.read()  # hold the connection open until the client closes
+
+        thread = threading.Thread(target=stub, daemon=True)
+        thread.start()
+        return listener, thread
+
+    def test_next_call_after_a_non_frame_reply_raises_service_error(self):
+        """The rest of a JSON-line reply to a frame must not be read as
+        the next reply: the client closes, and ping raises ServiceError."""
+        listener, thread = self._stub(
+            b'{"ok": true, "protocol": 4, "binary": true}\n',
+            b'{"ok": false, "error": "not a frame"}\n',
+        )
+        try:
+            port = listener.getsockname()[1]
+            with ServiceClient(port=port, binary="always", timeout=5) as client:
+                with pytest.raises(ServiceError, match="bad frame magic"):
+                    client.ingest(["a", "b", "a"])
+                with pytest.raises(ServiceError, match="protocol error"):
+                    client.ping()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
+
+    def test_malformed_json_reply_raises_service_error(self):
+        listener, thread = self._stub(b"{not json\n", None)
+        try:
+            port = listener.getsockname()[1]
+            with ServiceClient(port=port, timeout=5) as client:
+                with pytest.raises(ServiceError, match="malformed JSON reply"):
+                    client.ping()
+                with pytest.raises(ServiceError, match="protocol error"):
+                    client.stats()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
+
 
 class TestCorruptFrames:
     def test_crc_corrupt_record_rejected_and_never_logged(self, wal_server):
@@ -757,7 +810,7 @@ class TestWalByteIdentity:
                 log.close()
             result = recover(
                 tmp_path / layout,
-                make_estimator=ServiceConfig(num_counters=300, weighted=True).make_estimator,
+                make_estimator=ServiceConfig(num_counters=300).make_estimator,
                 num_shards=3,
             )
             assert result.tokens_replayed == len(items)
