@@ -38,6 +38,7 @@ Three entry points:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -153,10 +154,8 @@ def _replay(target: FrequencyEstimator | WindowedSummarizer, chunk: EncodedChunk
     whole part and keeps its state; replay drops the same part, so such a
     record neither blocks recovery nor makes it differ from live state.
     """
-    try:
+    with contextlib.suppress(FingerprintCollisionError):
         target.update_batch(chunk)
-    except FingerprintCollisionError:
-        pass
 
 
 def recover(
