@@ -10,14 +10,15 @@ object array of the keys, and the total decrement ``d`` -- so a chunk
 costs a handful of NumPy calls over ``m + D`` entries (``D`` distinct
 items in the chunk) instead of one Python-level update per distinct item.
 
-A key's identity is its :func:`~repro.engine.vectorized.stable_fingerprint`,
+Entries are sorted and grouped by :func:`~repro.engine.vectorized.stable_fingerprint`,
 the value :class:`~repro.engine.codec.TokenCodec` caches at intern time and
 :func:`~repro.engine.codec.partition_chunk` places shards by; it does not
 depend on which codec interned the key, so a summary outlives codec
-rotation.  Two different keys with one fingerprint are never summed
-together: :meth:`ArraySummary.update_batch` compares the keys behind every
-repeated fingerprint and raises :class:`FingerprintCollisionError` before
-any state changes.
+rotation.  A key's identity is still the key itself: the keys behind every
+repeated fingerprint are compared, and two different keys that share a
+fingerprint (ints map to themselves mod 2^64, so ``-1`` and ``2**64 - 1``
+do) keep one counter each, side by side, exactly as a dict-keyed summary
+would count them.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ _EMPTY_KEYS = np.empty(0, dtype=object)
 KeyDecoder = Callable[[np.ndarray], Sequence[Item]]
 
 
-class FingerprintCollisionError(ValueError):
-    """Two different keys share one 64-bit fingerprint."""
-
-
 def _object_array(keys: Sequence[Item]) -> np.ndarray:
-    """A 1-D object array of ``keys`` (tuples stay single elements)."""
+    """A 1-D object array of ``keys`` (tuples stay single elements).
+
+    ``np.fromiter`` takes ``dtype=object`` from NumPy 1.23 on, the floor
+    ``pyproject.toml`` declares.
+    """
     return np.fromiter(keys, dtype=object, count=len(keys))
 
 
@@ -60,6 +61,48 @@ def _keys_at(indices: np.ndarray, known: np.ndarray, decode: KeyDecoder) -> np.n
     outside = ~inside
     keys[outside] = _object_array(decode(indices[outside] - known.size))
     return keys
+
+
+def _split_by_key(
+    fingerprints: np.ndarray,
+    first: np.ndarray,
+    inverse: np.ndarray,
+    shared: np.ndarray,
+    known_keys: np.ndarray,
+    decode: KeyDecoder,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Regroup the entries of fingerprint groups ``shared`` by key.
+
+    ``first``/``inverse`` group entries by fingerprint (as ``np.unique``
+    returns them).  In each shared group the first key keeps the group;
+    every other key gets a group of its own.  Returns the new
+    ``(first, inverse)``, groups ordered by fingerprint, then by the entry
+    that first carried their key.
+    """
+    members = np.flatnonzero(np.isin(inverse, shared))
+    slots = inverse[members].tolist()
+    labels: dict[tuple[int, Item], int] = {}
+    regrouped: list[int] = []
+    extra_first: list[int] = []
+    for index, slot, key in zip(
+        members.tolist(), slots, _keys_at(members, known_keys, decode).tolist()
+    ):
+        label = labels.get((slot, key))
+        if label is None:
+            if index == first[slot]:
+                label = slot
+            else:
+                label = first.size + len(extra_first)
+                extra_first.append(index)
+            labels[(slot, key)] = label
+        regrouped.append(label)
+    inverse = inverse.copy()
+    inverse[members] = regrouped
+    first = np.concatenate((first, np.asarray(extra_first, dtype=first.dtype)))
+    order = np.lexsort((first, fingerprints[first]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
 
 
 def _fold(
@@ -80,25 +123,23 @@ def _fold(
     fingerprint order with their summed counters, cut to the ``m`` largest
     after subtracting the ``(m+1)``-th largest value ``c`` (``c = 0`` when
     at most ``m`` keys remain).  Survivors whose counter drops to zero are
-    kept, so the result holds ``min(m, distinct)`` counters.  Raises
-    :class:`FingerprintCollisionError` when a repeated fingerprint carries
-    a different key; nothing is returned then.
+    kept, so the result holds ``min(m, distinct)`` counters.  Different
+    keys that share a fingerprint are summed apart and sit next to each
+    other, in the order their entries first appear.
     """
     slots, first, inverse = np.unique(fingerprints, return_index=True, return_inverse=True)
-    sums = np.bincount(inverse, weights=counts, minlength=slots.size)
     if slots.size < fingerprints.size:
         owner = first[inverse]
         repeats = np.flatnonzero(owner != np.arange(fingerprints.size))
         theirs = _keys_at(repeats, known_keys, decode)
         ours = _keys_at(owner[repeats], known_keys, decode)
-        clash = np.flatnonzero(theirs != ours)
-        if clash.size:
-            index = int(clash[0])
-            raise FingerprintCollisionError(
-                f"keys {ours[index]!r} and {theirs[index]!r} share fingerprint "
-                f"{int(fingerprints[repeats[index]]):#x}; their counts cannot be "
-                "merged"
+        shared = np.unique(inverse[repeats[theirs != ours]])
+        if shared.size:
+            first, inverse = _split_by_key(
+                fingerprints, first, inverse, shared, known_keys, decode
             )
+            slots = fingerprints[first]
+    sums = np.bincount(inverse, weights=counts, minlength=slots.size)
     cut = 0.0
     excess = slots.size - num_counters
     if excess > 0:
@@ -263,10 +304,7 @@ class ArraySummary(FrequencyEstimator):
         keys = _object_array(list(counters))
         fingerprints = fingerprint_array(list(counters))
         order = np.argsort(fingerprints, kind="stable")
-        fingerprints = fingerprints[order]
-        if np.any(fingerprints[1:] == fingerprints[:-1]):
-            raise FingerprintCollisionError("two stored keys share one fingerprint")
-        summary._fingerprints = fingerprints
+        summary._fingerprints = fingerprints[order]
         summary._counts = np.fromiter(counters.values(), dtype=np.float64, count=len(counters))[order]
         summary._keys = keys[order]
         summary._decrement = float(decrement)
@@ -283,12 +321,10 @@ class ArraySummary(FrequencyEstimator):
     def estimate(self, item: Item) -> float:
         fingerprint = np.uint64(stable_fingerprint(item))
         index = int(np.searchsorted(self._fingerprints, fingerprint))
-        if (
-            index < self._fingerprints.size
-            and self._fingerprints[index] == fingerprint
-            and self._keys[index] == item
-        ):
-            return float(self._counts[index]) + self._decrement
+        while index < self._fingerprints.size and self._fingerprints[index] == fingerprint:
+            if self._keys[index] == item:
+                return float(self._counts[index]) + self._decrement
+            index += 1
         return 0.0
 
     def counters(self) -> dict[Item, float]:
@@ -300,7 +336,8 @@ class ArraySummary(FrequencyEstimator):
         return dict(zip(self._keys.tolist(), self._counts.tolist()))
 
     def top_k(self, k: int) -> list[tuple[Item, float]]:
-        """The ``k`` largest estimates; ties go to the smaller fingerprint."""
+        """The ``k`` largest estimates; ties go to the smaller fingerprint,
+        then to the key stored first under it."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         order = np.argsort(-self._counts, kind="stable")[:k]

@@ -45,9 +45,9 @@ own ``(A, B)`` constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
-
-import numpy as np
 
 from repro.algorithms.array_summary import ArraySummary
 from repro.algorithms.base import FrequencyEstimator, Item
@@ -145,9 +145,9 @@ class DisjointUnion(FrequencyEstimator):
         """
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        entries = [entry for part in self.parts for entry in part.top_k(k)]
-        estimates = np.fromiter((count for _, count in entries), dtype=np.float64, count=len(entries))
-        return [entries[index] for index in np.argsort(-estimates, kind="stable")[:k].tolist()]
+        rankings = chain.from_iterable(part.top_k(k) for part in self.parts)
+        # A stable sort (reverse=True keeps it stable) of already-sorted runs.
+        return sorted(rankings, key=itemgetter(1), reverse=True)[:k]
 
     def __len__(self) -> int:
         return sum(len(part) for part in self.parts)

@@ -38,7 +38,6 @@ Three entry points:
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,7 +45,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 from repro import serialization
-from repro.algorithms.array_summary import ArraySummary, FingerprintCollisionError
+from repro.algorithms.array_summary import ArraySummary
 from repro.algorithms.base import FrequencyEstimator
 from repro.core.merging import MergeResult, merge_summaries
 from repro.core.tail_guarantee import TailGuarantee
@@ -67,7 +66,7 @@ from repro.service.wal import (
     write_checkpoint,
 )
 from repro.service.windows import WindowedSummarizer
-from repro.engine.codec import EncodedChunk, TokenCodec
+from repro.engine.codec import TokenCodec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server imports wal)
     from repro.service.server import HeavyHittersService, ServiceConfig
@@ -144,18 +143,6 @@ def _factory_from_manifest(manifest: dict[str, Any]) -> EstimatorFactory:
     """
     num_counters = int(manifest.get("num_counters", 1000))
     return lambda: ArraySummary(num_counters)
-
-
-def _replay(target: FrequencyEstimator | WindowedSummarizer, chunk: EncodedChunk) -> None:
-    """Apply one logged chunk (or shard part) as live ingest did.
-
-    Live ingest logs a chunk before the shards and the window see it.  An
-    ``ArraySummary`` that finds two keys sharing a fingerprint rejects the
-    whole part and keeps its state; replay drops the same part, so such a
-    record neither blocks recovery nor makes it differ from live state.
-    """
-    with contextlib.suppress(FingerprintCollisionError):
-        target.update_batch(chunk)
 
 
 def recover(
@@ -254,9 +241,9 @@ def recover(
         if record.frame_type == FRAME_CHUNK:
             chunk = decode_chunk_record(record, codec)
             for shard_id, part in partition_batch(chunk, num_shards).items():
-                _replay(estimators[shard_id], part)
+                estimators[shard_id].update_batch(part)
             if window is not None:
-                _replay(window, chunk)
+                window.update_batch(chunk)
             chunks_replayed += 1
             tokens_replayed += len(chunk)
         elif record.frame_type == FRAME_ADVANCE:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import serialization
-from repro.algorithms.array_summary import ArraySummary, FingerprintCollisionError
+from repro.algorithms.array_summary import ArraySummary
 from repro.algorithms.space_saving import SpaceSaving
 from repro.core.merging import DisjointUnion, merge_summaries
 from repro.core.tail_guarantee import TailGuarantee
@@ -129,6 +129,8 @@ class TestCopyAndPayloads:
 
 
 class TestCollisions:
+    """Keys that share a fingerprint keep one counter each."""
+
     @staticmethod
     def _alias(monkeypatch, first, second):
         """Make the codec fingerprint ``second`` exactly like ``first``."""
@@ -143,49 +145,104 @@ class TestCollisions:
 
         monkeypatch.setattr(TokenCodec, "fingerprints", fingerprints)
 
-    def test_collision_inside_one_chunk_raises_before_any_change(self, monkeypatch):
-        summary = feed(ArraySummary(M), ["x", "y", "x"])
-        before = serialization.dumps(summary)
+    def test_forced_collision_inside_one_chunk_counts_apart(self, monkeypatch):
         self._alias(monkeypatch, "a", "b")
-        with pytest.raises(FingerprintCollisionError, match="share fingerprint"):
-            summary.update_batch(TokenCodec().encode_chunk(["a", "b", "a"]))
-        assert serialization.dumps(summary) == before
+        summary = feed(ArraySummary(M), ["a", "b", "a", "c", "b", "a"])
+        assert summary.guaranteed_counters() == {"a": 3.0, "b": 2.0, "c": 1.0}
+        assert summary.decrement == 0.0
 
-    def test_collision_with_a_stored_key_raises(self, monkeypatch):
+    def test_forced_collision_with_a_stored_key_counts_apart(self, monkeypatch):
         codec = TokenCodec()
         summary = feed(ArraySummary(M), ["a", "a", "c"], codec=codec)
-        before = serialization.dumps(summary)
         self._alias(monkeypatch, "a", "b")
-        with pytest.raises(FingerprintCollisionError, match="'a' and 'b'"):
-            summary.update_batch(codec.encode_chunk(["b"]))
-        assert serialization.dumps(summary) == before
-        # The same key from a fresh codec (a rotation) is no collision.
-        summary.update_batch(TokenCodec().encode_chunk(["a"]))
-        assert summary.estimate("a") == 3.0
+        summary.update_batch(codec.encode_chunk(["b", "a"]))
+        assert summary.guaranteed_counters() == {"a": 3.0, "b": 1.0, "c": 1.0}
+        # The same keys from a fresh codec (a rotation) join their counters.
+        summary.update_batch(TokenCodec().encode_chunk(["b", "a", "b"]))
+        assert summary.guaranteed_counters() == {"a": 4.0, "b": 3.0, "c": 1.0}
+
+    def test_ints_that_share_a_fingerprint_count_apart(self):
+        low, high = -1, 2**64 - 1
+        assert stable_fingerprint(low) == stable_fingerprint(high)
+        codec = TokenCodec()
+        summary = feed(ArraySummary(4), [low, high, low, 5], codec=codec)
+        assert summary.counters() == {low: 2.0, high: 1.0, 5: 1.0}
+        assert (summary.estimate(low), summary.estimate(high)) == (2.0, 1.0)
+        summary.update_batch(codec.encode_chunk([high, high, 7, 8, 9]))
+        assert summary.decrement == 1.0 and len(summary) == 4
+        assert (summary.estimate(low), summary.estimate(high)) == (2.0, 3.0)
+        for compress in (False, True):
+            data = serialization.dump_bytes(summary, compress=compress)
+            assert serialization.dump_bytes(serialization.load_bytes(data), compress=compress) == data
+        merged = ArraySummary.merge([summary, summary.copy()])
+        assert (merged.estimate(low), merged.estimate(high)) == (4.0, 6.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_guarantee_holds_over_many_shared_fingerprints(self, seed):
+        """Every int in ``values`` shares its fingerprint with ``v + 2**64``."""
+        rng = np.random.default_rng(seed)
+        values = rng.zipf(1.3, size=6_000) % 40
+        tokens = [int(v) + (2**64 if rng.random() < 0.5 else 0) for v in values]
+        summary = feed(ArraySummary(16), tokens, chunk_size=250)
+        truth = exact(tokens)
+        d = summary.decrement
+        for item, count in truth.items():
+            estimate = summary.estimate(item)
+            if item in summary:
+                assert count <= estimate <= count + d
+            else:
+                assert estimate == 0.0 and count <= d
+        for k in range(1, 16):
+            assert d <= residual(truth, k) / (16 + 1 - k) + 1e-9
 
 
 class TestService:
-    def test_a_logged_collision_replays_as_live_ingest_dropped_it(self, tmp_path, monkeypatch):
-        """A chunk is logged before the shards reject its colliding part:
-        recovery drops the same part instead of failing on it."""
-        TestCollisions._alias(monkeypatch, "a", "b")
+    @pytest.mark.parametrize("window_buckets", [0, 2])
+    @pytest.mark.parametrize("wal", [False, True])
+    def test_ints_that_share_a_fingerprint_are_served_apart(self, tmp_path, wal, window_buckets):
+        """``-1`` and ``2**64 - 1`` share a fingerprint and a shard: every
+        ingest is acked, both keys answer exactly, a later ingest is
+        unaffected and recovery rebuilds the live state."""
+        low, high = -1, 2**64 - 1
         config = ServiceConfig(
-            num_counters=M, num_shards=2, k=4, window_buckets=2,
-            wal_dir=str(tmp_path / "wal"), fsync="off", audit_rate=0.0,
+            num_counters=M, num_shards=2, k=4, window_buckets=window_buckets,
+            wal_dir=str(tmp_path / "wal") if wal else None, fsync="off", audit_rate=0.0,
         )
+        truth = collections.Counter()
         with HeavyHittersService(config) as service:
-            assert service.handle({"op": "ingest", "items": ["a", "a", "c"]})["ok"]
-            assert not service.handle({"op": "ingest", "items": ["b", "x"]})["ok"]
-            assert not service.handle({"op": "ingest", "items": ["y"]})["ok"]  # the shard error
-            assert service.handle({"op": "ingest", "items": ["z"]})["ok"]
+            for step, items in enumerate(([low, high, 5, low], [high, low], [low, high, high])):
+                if step and window_buckets:
+                    assert service.handle({"op": "advance-window"})["ok"]
+                assert service.handle({"op": "ingest", "items": items})["ok"]
+                truth.update(items)
+            for item, count in truth.items():
+                answer = service.handle({"op": "query", "type": "point", "item": item})
+                assert answer["estimate"] == count
+            top = service.handle({"op": "query", "type": "top-k", "k": 2})["top_k"]
+            assert sorted(entry["item"] for entry in top) == [low, high]
+            if window_buckets:
+                answer = service.handle({"op": "query", "type": "window-top-k", "k": 2, "window": 2})
+                assert answer["buckets_merged"] == 2
+                assert [(e["item"], e["estimate"]) for e in answer["top_k"]] == [(high, 3.0), (low, 2.0)]
+                for item, count in ((low, 2.0), (high, 3.0)):
+                    answer = service.handle(
+                        {"op": "query", "type": "window-point", "item": item, "window": 2}
+                    )
+                    assert answer["estimate"] == count
             live = service.sharded.shard_payloads()
-            window = [payload for _, payload in service.windowed.bucket_payloads()]
-            service.wal.sync()
-        result = recover(tmp_path / "wal")
-        assert result.chunks_replayed == 3
-        assert [serialization.dump(e) for e in result.estimators] == live
-        assert [serialization.dump(e) for _, e in result.window.bucket_states()] == window
-        assert result.estimator.estimate("a") == 2.0 and result.estimator.estimate("b") == 0.0
+            window = (
+                [payload for _, payload in service.windowed.bucket_payloads()]
+                if window_buckets else None
+            )
+            if wal:
+                service.wal.sync()
+        if wal:
+            result = recover(tmp_path / "wal")
+            assert result.chunks_replayed == 3
+            assert [serialization.dump(e) for e in result.estimators] == live
+            if window_buckets:
+                assert [serialization.dump(e) for _, e in result.window.bucket_states()] == window
+            assert (result.estimator.estimate(low), result.estimator.estimate(high)) == (4.0, 4.0)
 
     def test_recover_rebuilds_shards_bit_identical_to_live_ingest(self, tmp_path):
         """Checkpoint halfway, replay the rest: the shards equal live ingest."""
